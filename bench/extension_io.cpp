@@ -57,10 +57,12 @@ int main() {
                      "error"});
   RunningStats errors;
   for (const Scenario& scenario : scenarios) {
-    IoMix mix;
+    model::WorkloadMix mix;
     std::string name;
     for (const IoApp& app : scenario.apps) {
-      mix.add(app);
+      // A pure compute/disk competitor: no back-end communication, and one
+      // request per I/O burst (the op count selects no table entry).
+      mix.add({0.0, 0, app.ioFraction, app.ioFraction > 0.0 ? 1 : 0});
       if (!name.empty()) name += " + ";
       name += TextTable::percent(app.ioFraction, 0) + "io";
     }

@@ -10,38 +10,8 @@
 
 namespace contend::ext {
 
-void IoMix::add(const IoApp& app) {
-  if (app.ioFraction < 0.0 || app.ioFraction > 1.0) {
-    throw std::invalid_argument("IoMix: ioFraction outside [0, 1]");
-  }
-  if (app.ioFraction > 0.0 && app.requestWords <= 0) {
-    throw std::invalid_argument("IoMix: I/O app needs a request size");
-  }
-  apps_.push_back(app);
-  // poly(x) *= (1 - f) + f x, highest degree first (as in WorkloadMix).
-  const auto convolve = [](std::vector<double>& poly, double f) {
-    poly.push_back(0.0);
-    for (std::size_t i = poly.size(); i-- > 0;) {
-      poly[i] = poly[i] * (1.0 - f) + (i > 0 ? poly[i - 1] * f : 0.0);
-    }
-  };
-  convolve(ioPoly_, app.ioFraction);
-  convolve(compPoly_, 1.0 - app.ioFraction);
-}
-
-double IoMix::pio(int i) const {
-  if (i < 0 || i > p()) throw std::out_of_range("IoMix::pio: i outside [0,p]");
-  return ioPoly_[static_cast<std::size_t>(i)];
-}
-
-double IoMix::pcomp(int i) const {
-  if (i < 0 || i > p()) {
-    throw std::out_of_range("IoMix::pcomp: i outside [0,p]");
-  }
-  return compPoly_[static_cast<std::size_t>(i)];
-}
-
-double ioCompSlowdown(const IoMix& mix, const IoDelayTables& tables) {
+double ioCompSlowdown(const model::WorkloadMix& mix,
+                      const IoDelayTables& tables) {
   if (mix.p() > tables.maxContenders()) {
     throw std::out_of_range("ioCompSlowdown: tables too small for mix");
   }

@@ -14,8 +14,6 @@
 // and composed with Poisson-binomial weights exactly like the Paragon model.
 #pragma once
 
-#include <vector>
-
 #include "model/io_tables.hpp"
 #include "model/mix.hpp"
 #include "sim/platform.hpp"
@@ -28,34 +26,18 @@ namespace contend::ext {
 /// side (below) stays here.
 using IoDelayTables = model::IoDelayTables;
 
-/// An application characterized by its I/O behaviour: it spends
-/// `ioFraction` of its (dedicated) time in disk requests of `requestWords`.
+/// An I/O generator's behaviour: it spends `ioFraction` of its (dedicated)
+/// time in disk requests of `requestWords`.
 struct IoApp {
   double ioFraction = 0.0;
   Words requestWords = 0;
 };
 
-/// P[exactly i of the apps are doing I/O] — Poisson-binomial over the
-/// ioFractions, same machinery as model::WorkloadMix.
-class IoMix {
- public:
-  void add(const IoApp& app);
-  [[nodiscard]] int p() const { return static_cast<int>(apps_.size()); }
-  [[nodiscard]] double pio(int i) const;
-  /// P[exactly i of the apps are computing] (they compute when not in I/O).
-  [[nodiscard]] double pcomp(int i) const;
-  [[nodiscard]] std::span<const IoApp> apps() const { return apps_; }
-
- private:
-  std::vector<IoApp> apps_;
-  std::vector<double> ioPoly_{1.0};
-  std::vector<double> compPoly_{1.0};
-};
-
 /// Computation slowdown from competitors that alternate computing with disk
 /// I/O — the same additive form as the paper's §3.2.2 computation model:
-///   1 + Σ pcomp_i · i + Σ pio_i · delay_io^i.
-[[nodiscard]] double ioCompSlowdown(const IoMix& mix,
+///   1 + Σ pcomp_i · i + Σ pio_i · delay_io^i,
+/// with pcomp/pio the mix's Poisson-binomial distributions.
+[[nodiscard]] double ioCompSlowdown(const model::WorkloadMix& mix,
                                     const IoDelayTables& tables);
 
 /// Slowdown of an application's own I/O given `ioContenders` I/O-bound and

@@ -310,14 +310,17 @@ ext::MigrationDecision Engine::adviseMigration(TaskId id,
   const double transferSlowdown = target.commSlowdown();
   // Speed > 1 machines make the effective factor drop below 1, which the
   // advisor's contract forbids; scaling every factor by a common constant
-  // leaves the stay/move inequality unchanged.
-  const double scale =
-      std::max({1.0, 1.0 / here, 1.0 / there, 1.0 / transferSlowdown});
+  // leaves the stay/move inequality unchanged. Dividing by the smallest
+  // factor lifts it to exactly 1 (x / x == 1 in IEEE arithmetic, where
+  // x * (1 / x) can round below 1), and correctly rounded division keeps
+  // every larger factor >= 1. With no factor below 1, low is 1.0 and the
+  // division is exact.
+  const double low = std::min({1.0, here, there, transferSlowdown});
   std::vector<model::DataSet> state;
   if (t.stateWords > 0) state.push_back({1, t.stateWords});
-  return ext::adviseMigration(remainingNowSec(t, nowSec()), here * scale,
-                              there * scale, machines_.at(m).link, state,
-                              transferSlowdown * scale,
+  return ext::adviseMigration(remainingNowSec(t, nowSec()), here / low,
+                              there / low, machines_.at(m).link, state,
+                              transferSlowdown / low,
                               config_.migrationHysteresis);
 }
 

@@ -30,12 +30,11 @@ std::uint64_t OnlineContentionTracker::applicationArrived(
   idsByMixIndex_.push_back(id);
   lastEventTime_ = timeSec;
   recomputeSlowdowns();
-  log(LoadEventKind::kArrival, timeSec, id);
   return id;
 }
 
-void OnlineContentionTracker::applicationDeparted(double timeSec,
-                                                  std::uint64_t applicationId) {
+model::CompetingApp OnlineContentionTracker::applicationDeparted(
+    double timeSec, std::uint64_t applicationId) {
   if (timeSec < lastEventTime_) {
     throw std::invalid_argument(
         "OnlineContentionTracker: events must arrive in time order");
@@ -49,11 +48,12 @@ void OnlineContentionTracker::applicationDeparted(double timeSec,
   }
   const auto index =
       static_cast<std::size_t>(it - idsByMixIndex_.begin());
+  const model::CompetingApp departed = mix_.apps()[index];
   mix_.removeAt(index);  // O(p) fast path, O(p²) regeneration fallback
   idsByMixIndex_.erase(it);
   lastEventTime_ = timeSec;
   recomputeSlowdowns();
-  log(LoadEventKind::kDeparture, timeSec, applicationId);
+  return departed;
 }
 
 int OnlineContentionTracker::activeApplications() const { return mix_.p(); }
@@ -113,7 +113,6 @@ void OnlineContentionTracker::restoreCheckpoint(
   idsByMixIndex_ = checkpoint.ids;
   nextId_ = checkpoint.nextId;
   lastEventTime_ = checkpoint.lastEventTimeSec;
-  history_.clear();
   recomputeSlowdowns();
 }
 
@@ -131,28 +130,11 @@ void OnlineContentionTracker::recalibrate(
   recomputeSlowdowns();
 }
 
-std::optional<LoadEvent> OnlineContentionTracker::lastEvent() const {
-  if (history_.empty()) return std::nullopt;
-  return history_.back();
-}
-
 void OnlineContentionTracker::recomputeSlowdowns() {
   // O(p) given the maintained distributions (the paper's headline bound).
   compSlowdown_ = model::paragonCompSlowdown(mix_, platform_.delays);
   commSlowdown_ = model::paragonCommSlowdown(mix_, platform_.delays);
   ioSlowdown_ = model::mixIoSlowdown(mix_, ioTables_);
-}
-
-void OnlineContentionTracker::log(LoadEventKind kind, double timeSec,
-                                  std::uint64_t id) {
-  LoadEvent event;
-  event.kind = kind;
-  event.timeSec = timeSec;
-  event.applicationId = id;
-  event.mixSizeAfter = mix_.p();
-  event.compSlowdownAfter = compSlowdown_;
-  event.commSlowdownAfter = commSlowdown_;
-  history_.push_back(event);
 }
 
 }  // namespace contend::sched

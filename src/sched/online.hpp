@@ -6,12 +6,11 @@
 // efficient to compute relative to how quickly applications enter and leave
 // the system." This module is that run-time half: it maintains the workload
 // mix as applications register and deregister (O(p) add, O(p²) worst-case
-// remove — the paper's bounds), caches the current slowdowns, and logs every
-// recalculation so operators can audit scheduling decisions.
+// remove — the paper's bounds) and caches the current slowdowns. Its memory
+// is bounded by the live mix: nothing is kept per past event.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,19 +21,6 @@
 #include "model/predictor.hpp"
 
 namespace contend::sched {
-
-/// Why the slowdowns were recalculated.
-enum class LoadEventKind { kArrival, kDeparture };
-
-/// One entry of the audit log.
-struct LoadEvent {
-  LoadEventKind kind = LoadEventKind::kArrival;
-  double timeSec = 0.0;
-  std::uint64_t applicationId = 0;
-  int mixSizeAfter = 0;
-  double compSlowdownAfter = 1.0;
-  double commSlowdownAfter = 1.0;
-};
 
 /// Everything needed to rebuild a tracker at an exact point in its history
 /// (the serving layer's crash-recovery snapshot). The Poisson-binomial
@@ -62,9 +48,10 @@ class OnlineContentionTracker {
   std::uint64_t applicationArrived(double timeSec,
                                    const model::CompetingApp& app);
 
-  /// Deregisters. O(p²) worst case (mix regeneration). Throws
-  /// std::invalid_argument for unknown ids.
-  void applicationDeparted(double timeSec, std::uint64_t applicationId);
+  /// Deregisters and returns the departed application. O(p²) worst case
+  /// (mix regeneration). Throws std::invalid_argument for unknown ids.
+  model::CompetingApp applicationDeparted(double timeSec,
+                                          std::uint64_t applicationId);
 
   [[nodiscard]] int activeApplications() const;
   [[nodiscard]] double compSlowdown() const { return compSlowdown_; }
@@ -82,24 +69,14 @@ class OnlineContentionTracker {
   [[nodiscard]] double predictCommFromBackend(
       std::span<const model::DataSet> dataSets) const;
 
-  /// The audit log, oldest first.
-  [[nodiscard]] const std::vector<LoadEvent>& history() const {
-    return history_;
-  }
-
-  /// The most recent event, if any.
-  [[nodiscard]] std::optional<LoadEvent> lastEvent() const;
-
   /// Captures the exact live state (ids, apps, distributions, id counter).
-  /// The audit history is not part of the checkpoint — it is unbounded by
-  /// design, which is the opposite of what a compacting snapshot wants.
   [[nodiscard]] TrackerCheckpoint exportCheckpoint() const;
 
   /// Replaces the live state with a previously exported checkpoint and
   /// recomputes the slowdowns from the restored distributions. Throws
   /// std::invalid_argument on an internally inconsistent checkpoint
   /// (mismatched vector sizes, duplicate ids, nextId not past every live
-  /// id). The audit history restarts empty.
+  /// id).
   void restoreCheckpoint(const TrackerCheckpoint& checkpoint);
 
   /// Replaces the platform model (delay tables + link parameters) in place
@@ -114,7 +91,6 @@ class OnlineContentionTracker {
 
  private:
   void recomputeSlowdowns();
-  void log(LoadEventKind kind, double timeSec, std::uint64_t id);
 
   model::ParagonPlatformModel platform_;
   // Canonical I/O tables sized to the platform's delay-table depth. Not
@@ -129,7 +105,6 @@ class OnlineContentionTracker {
   double commSlowdown_ = 1.0;
   double ioSlowdown_ = 1.0;
   double lastEventTime_ = 0.0;
-  std::vector<LoadEvent> history_;
 };
 
 }  // namespace contend::sched

@@ -69,9 +69,15 @@ double ConcurrentTracker::nowSec() const {
       .count();
 }
 
+void ConcurrentTracker::anchorClockLocked(double eventSec) {
+  start_ = std::chrono::steady_clock::now() -
+           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+               std::chrono::duration<double>(eventSec));
+}
+
 void ConcurrentTracker::publishSnapshotLocked() {
-  snapshot_.publish(MixSnapshot{epoch_, signature_, tableGen_,
-                                tracker_.activeApplications(),
+  snapshot_.publish(MixSnapshot{epoch_, signature_, tableGen_, arrivals_,
+                                departures_, tracker_.activeApplications(),
                                 tracker_.compSlowdown(),
                                 tracker_.commSlowdown(),
                                 tracker_.ioSlowdown()});
@@ -108,9 +114,7 @@ MutationResult ConcurrentTracker::arrive(const model::CompetingApp& app) {
   result.id = tracker_.applicationArrived(timeSec, app);  // may throw
   signature_ += appHash(app);
   ++epoch_;
-  arrivals_.fetch_add(1, std::memory_order_relaxed);
-  liveApps_.emplace(result.id, app);
-  arrivalLog_.push_back({result.id, app});
+  ++arrivals_;
   // Apply-then-journal: only mutations that succeeded are ever journaled,
   // so replay can never throw on data the live path accepted.
   JournalRecord record;
@@ -128,12 +132,10 @@ MutationResult ConcurrentTracker::arrive(const model::CompetingApp& app) {
 MutationResult ConcurrentTracker::depart(std::uint64_t applicationId) {
   std::lock_guard lock(writeMutex_);
   const double timeSec = nowSec();
-  tracker_.applicationDeparted(timeSec, applicationId);  // may throw
-  const auto it = liveApps_.find(applicationId);
-  signature_ -= appHash(it->second);
-  liveApps_.erase(it);
+  signature_ -= appHash(
+      tracker_.applicationDeparted(timeSec, applicationId));  // may throw
   ++epoch_;
-  departures_.fetch_add(1, std::memory_order_relaxed);
+  ++departures_;
   JournalRecord record;
   record.kind = JournalRecord::Kind::kDepart;
   record.epoch = epoch_;
@@ -178,8 +180,8 @@ void ConcurrentTracker::journalMutationLocked(const JournalRecord& record) {
 SnapshotImage ConcurrentTracker::exportImageLocked() const {
   SnapshotImage image;
   image.epoch = epoch_;
-  image.arrivals = arrivals_.load(std::memory_order_relaxed);
-  image.departures = departures_.load(std::memory_order_relaxed);
+  image.arrivals = arrivals_;
+  image.departures = departures_;
   image.tableGeneration = tableGen_;
   image.checkpoint = tracker_.exportCheckpoint();
   image.tables = tracker_.platform();
@@ -202,19 +204,12 @@ void ConcurrentTracker::applyRecordLocked(const JournalRecord& record) {
                                std::to_string(record.id) + ")");
     }
     signature_ += appHash(record.app);
-    arrivals_.fetch_add(1, std::memory_order_relaxed);
-    liveApps_.emplace(record.id, record.app);
-    arrivalLog_.push_back({record.id, record.app});
+    ++arrivals_;
   } else if (record.kind == JournalRecord::Kind::kDepart) {
-    tracker_.applicationDeparted(record.timeSec, record.id);
-    const auto it = liveApps_.find(record.id);
-    if (it == liveApps_.end()) {
-      throw std::runtime_error("journal replay: departure of unknown id " +
-                               std::to_string(record.id));
-    }
-    signature_ -= appHash(it->second);
-    liveApps_.erase(it);
-    departures_.fetch_add(1, std::memory_order_relaxed);
+    // Throws std::invalid_argument for an id that is not live.
+    signature_ -= appHash(
+        tracker_.applicationDeparted(record.timeSec, record.id));
+    ++departures_;
   } else {
     // kTableSwap carries the complete swapped-in tables, so replay installs
     // them verbatim — bit-identical to the pre-crash swap, no estimator
@@ -242,28 +237,7 @@ RecoveryReport ConcurrentTracker::recoverFromJournal(Journal& journal) {
   report.truncatedBytes = loaded.truncatedBytes;
 
   if (loaded.snapshot.has_value()) {
-    const SnapshotImage& image = *loaded.snapshot;
-    // Tables first: restoreCheckpoint validates the app count against the
-    // live tables and recomputes the slowdowns from them, so it must see
-    // the tables that were live at snapshot time, not the boot-time ones.
-    tracker_.recalibrate(image.tables);  // validates; may throw
-    installTablesLocked(image.tableGeneration, tracker_.platform());
-    tracker_.restoreCheckpoint(image.checkpoint);  // may throw
-    epoch_ = image.epoch;
-    arrivals_.store(image.arrivals, std::memory_order_relaxed);
-    departures_.store(image.departures, std::memory_order_relaxed);
-    signature_ = 0;
-    liveApps_.clear();
-    arrivalLog_.clear();
-    // The pre-crash arrival log is not persisted (it is unbounded); seed it
-    // with the live apps so serial replay still reproduces the mix.
-    for (std::size_t i = 0; i < image.checkpoint.apps.size(); ++i) {
-      const std::uint64_t id = image.checkpoint.ids[i];
-      const model::CompetingApp& app = image.checkpoint.apps[i];
-      signature_ += appHash(app);
-      liveApps_.emplace(id, app);
-      arrivalLog_.push_back({id, app});
-    }
+    restoreImageLocked(*loaded.snapshot);  // may throw
     report.snapshotLoaded = true;
   }
 
@@ -283,10 +257,7 @@ RecoveryReport ConcurrentTracker::recoverFromJournal(Journal& journal) {
   // event time instead of restarting at zero — otherwise the tracker's
   // monotonic time-order check would reject the first post-recovery
   // mutation.
-  const double lastEventSec = tracker_.exportCheckpoint().lastEventTimeSec;
-  start_ = std::chrono::steady_clock::now() -
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(lastEventSec));
+  anchorClockLocked(tracker_.exportCheckpoint().lastEventTimeSec);
 
   journal.start(report.replayedRecords);  // may throw; replayed tail = lag
   journal_ = &journal;
@@ -307,11 +278,7 @@ void ConcurrentTracker::applyReplicated(const JournalRecord& record) {
   // anchor forward so the first post-promotion mutation cannot look like
   // time going backwards; a primary clock running behind needs no
   // correction — local stamps are already past it.
-  if (record.timeSec > nowSec()) {
-    start_ = std::chrono::steady_clock::now() -
-             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double>(record.timeSec));
-  }
+  if (record.timeSec > nowSec()) anchorClockLocked(record.timeSec);
   // A follower journals (and re-mirrors) the applied record exactly like a
   // local mutation, so its own crash recovery — and, after promotion, its
   // own followers — see one continuous stream.
@@ -326,33 +293,27 @@ void ConcurrentTracker::installImage(const SnapshotImage& image) {
         "installImage: image epoch " + std::to_string(image.epoch) +
         " is behind local epoch " + std::to_string(epoch_));
   }
-  // Same order as the recovery snapshot branch: tables first, so
-  // restoreCheckpoint validates the app count against the tables that were
-  // live at export time.
+  restoreImageLocked(image);  // may throw
+  if (replLog_ != nullptr) replLog_->start(epoch_);
+  publishSnapshotLocked();
+}
+
+void ConcurrentTracker::restoreImageLocked(const SnapshotImage& image) {
+  // Tables first: restoreCheckpoint validates the app count against the
+  // live tables and recomputes the slowdowns from them, so it must see the
+  // tables that were live when the image was taken, not the current ones.
   tracker_.recalibrate(image.tables);  // validates; may throw
   installTablesLocked(image.tableGeneration, tracker_.platform());
   tracker_.restoreCheckpoint(image.checkpoint);  // may throw
   epoch_ = image.epoch;
-  arrivals_.store(image.arrivals, std::memory_order_relaxed);
-  departures_.store(image.departures, std::memory_order_relaxed);
+  arrivals_ = image.arrivals;
+  departures_ = image.departures;
   signature_ = 0;
-  liveApps_.clear();
-  arrivalLog_.clear();
-  for (std::size_t i = 0; i < image.checkpoint.apps.size(); ++i) {
-    const std::uint64_t id = image.checkpoint.ids[i];
-    const model::CompetingApp& app = image.checkpoint.apps[i];
+  for (const model::CompetingApp& app : image.checkpoint.apps) {
     signature_ += appHash(app);
-    liveApps_.emplace(id, app);
-    arrivalLog_.push_back({id, app});
   }
-  // Re-anchor the event clock at the image's last event time, as recovery
-  // does — the next applied record must not look like time went backwards.
-  start_ = std::chrono::steady_clock::now() -
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(
-                   image.checkpoint.lastEventTimeSec));
-  if (replLog_ != nullptr) replLog_->start(epoch_);
-  publishSnapshotLocked();
+  // The next mutation must not look like time went backwards.
+  anchorClockLocked(image.checkpoint.lastEventTimeSec);
 }
 
 SnapshotImage ConcurrentTracker::exportImage() const {
@@ -491,8 +452,8 @@ TrackerStats ConcurrentTracker::stats() const {
   stats.signature = snapshot.signature;
   stats.tableGeneration = snapshot.tableGen;
   stats.active = snapshot.active;
-  stats.arrivals = arrivals_.load(std::memory_order_relaxed);
-  stats.departures = departures_.load(std::memory_order_relaxed);
+  stats.arrivals = snapshot.arrivals;
+  stats.departures = snapshot.departures;
   stats.cacheShards = cache_.shardStats();
   for (const PredictionCache::ShardStats& shard : stats.cacheShards) {
     stats.cacheHits += shard.hits;
@@ -501,16 +462,6 @@ TrackerStats ConcurrentTracker::stats() const {
     stats.cacheEntries += shard.entries;
   }
   return stats;
-}
-
-std::vector<sched::LoadEvent> ConcurrentTracker::history() const {
-  std::lock_guard lock(writeMutex_);
-  return tracker_.history();
-}
-
-std::vector<ArrivalRecord> ConcurrentTracker::arrivals() const {
-  std::lock_guard lock(writeMutex_);
-  return arrivalLog_;
 }
 
 }  // namespace contend::serve

@@ -35,7 +35,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "model/mix.hpp"
@@ -52,10 +51,12 @@ namespace contend::serve {
 /// publish a whole new version, readers copy one consistent version out of
 /// the cell and keep it for as long as they need a stable view.
 struct MixSnapshot {
-  std::uint64_t epoch = 0;      // mutations applied so far
-  std::uint64_t signature = 0;  // content hash of the mix
-  std::uint64_t tableGen = 0;   // generation of the tables that priced it
-  int active = 0;               // the paper's p
+  std::uint64_t epoch = 0;       // mutations applied so far
+  std::uint64_t signature = 0;   // content hash of the mix
+  std::uint64_t tableGen = 0;    // generation of the tables that priced it
+  std::uint64_t arrivals = 0;    // ARRIVE mutations applied so far
+  std::uint64_t departures = 0;  // DEPART mutations applied so far
+  int active = 0;                // the paper's p
   double comp = 1.0;
   double comm = 1.0;
   double io = 1.0;  // disk-I/O slowdown (§4 extension), canonical tables
@@ -86,6 +87,8 @@ class SnapshotCell {
     slot.epoch.store(snapshot.epoch, std::memory_order_relaxed);
     slot.signature.store(snapshot.signature, std::memory_order_relaxed);
     slot.tableGen.store(snapshot.tableGen, std::memory_order_relaxed);
+    slot.arrivals.store(snapshot.arrivals, std::memory_order_relaxed);
+    slot.departures.store(snapshot.departures, std::memory_order_relaxed);
     slot.active.store(snapshot.active, std::memory_order_relaxed);
     slot.comp.store(snapshot.comp, std::memory_order_relaxed);
     slot.comm.store(snapshot.comm, std::memory_order_relaxed);
@@ -107,6 +110,8 @@ class SnapshotCell {
       out.epoch = slot.epoch.load(std::memory_order_relaxed);
       out.signature = slot.signature.load(std::memory_order_relaxed);
       out.tableGen = slot.tableGen.load(std::memory_order_relaxed);
+      out.arrivals = slot.arrivals.load(std::memory_order_relaxed);
+      out.departures = slot.departures.load(std::memory_order_relaxed);
       out.active = slot.active.load(std::memory_order_relaxed);
       out.comp = slot.comp.load(std::memory_order_relaxed);
       out.comm = slot.comm.load(std::memory_order_relaxed);
@@ -124,6 +129,8 @@ class SnapshotCell {
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<std::uint64_t> signature{0};
     std::atomic<std::uint64_t> tableGen{0};
+    std::atomic<std::uint64_t> arrivals{0};
+    std::atomic<std::uint64_t> departures{0};
     std::atomic<int> active{0};
     std::atomic<double> comp{1.0};
     std::atomic<double> comm{1.0};
@@ -168,12 +175,6 @@ struct TrackerStats {
   std::uint64_t cacheEvictions = 0;
   std::size_t cacheEntries = 0;
   std::vector<PredictionCache::ShardStats> cacheShards;
-};
-
-/// One arrival as recorded for serial replay (tests, debugging).
-struct ArrivalRecord {
-  std::uint64_t id = 0;
-  model::CompetingApp app;
 };
 
 class ReplicationLog;  // serve/replication.hpp
@@ -276,16 +277,10 @@ class ConcurrentTracker {
   std::vector<TaskPrediction> predictBatch(
       std::span<const tools::TaskSpec> tasks);
 
-  /// Lock-free on the tracker state; shard counters are read under the
-  /// per-shard locks.
+  /// Lock-free on the tracker state: epoch, counts and signature come from
+  /// one snapshot load, so they are mutually coherent. Shard counters are
+  /// read under the per-shard locks.
   [[nodiscard]] TrackerStats stats() const;
-
-  /// Copies of the audit trail. `history()` is the serialized mutation
-  /// order; `arrivals()` pairs each arrival with its app parameters so a
-  /// fresh OnlineContentionTracker can replay the exact sequence. Both take
-  /// the write mutex (audit path, not the hot path).
-  [[nodiscard]] std::vector<sched::LoadEvent> history() const;
-  [[nodiscard]] std::vector<ArrivalRecord> arrivals() const;
 
  private:
   /// One immutable generation of pricing state. TableSets are heap-allocated
@@ -331,6 +326,8 @@ class ConcurrentTracker {
   [[nodiscard]] MixSnapshot loadSnapshot() const { return snapshot_.load(); }
   void publishSnapshotLocked();
   [[nodiscard]] double nowSec() const;
+  /// Moves the event-clock origin so nowSec() reads `eventSec` now.
+  void anchorClockLocked(double eventSec);
 
   /// Applies one replayed mutation under the write mutex, asserting id and
   /// epoch continuity against the journal record.
@@ -338,6 +335,12 @@ class ConcurrentTracker {
 
   /// Captures the full durable state (epoch, counters, checkpoint).
   [[nodiscard]] SnapshotImage exportImageLocked() const;
+
+  /// Replaces the live state with `image` (writeMutex_ held): tables first,
+  /// so restoreCheckpoint validates the app count against the tables that
+  /// were live when the image was taken; then the counters, the signature,
+  /// and the event clock. Shared by journal recovery and installImage.
+  void restoreImageLocked(const SnapshotImage& image);
 
   /// Appends the mutation to the attached journal (if any) and writes a
   /// compacting snapshot when one is due.
@@ -349,8 +352,8 @@ class ConcurrentTracker {
   std::uint64_t epoch_ = 0;
   std::uint64_t signature_ = 0;  // order-independent sum of per-app hashes
   std::uint64_t tableGen_ = 0;   // generation of the live tables
-  std::unordered_map<std::uint64_t, model::CompetingApp> liveApps_;
-  std::vector<ArrivalRecord> arrivalLog_;
+  std::uint64_t arrivals_ = 0;
+  std::uint64_t departures_ = 0;
   Journal* journal_ = nullptr;  // attached by recoverFromJournal
   ReplicationLog* replLog_ = nullptr;  // attached by attachReplicationLog
   Recalibrator recalibrator_;
@@ -367,9 +370,7 @@ class ConcurrentTracker {
   SnapshotCell snapshot_;
   PredictionCache cache_;
 
-  // Monotonic counters readable without the write mutex (STATS).
-  std::atomic<std::uint64_t> arrivals_{0};
-  std::atomic<std::uint64_t> departures_{0};
+  // Event-clock origin; written under writeMutex_ only.
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "serve/net_util.hpp"
 #include "util/tokens.hpp"
 
 namespace contend::serve {
@@ -82,7 +83,8 @@ struct EventEngine::ConnState {
   std::size_t outBytes = 0;
   bool wantWrite = false;   // EPOLLOUT armed after an EAGAIN
   bool readPaused = false;  // EPOLLIN dropped: write backlog over high water
-  bool closeAfterFlush = false;
+  bool closeAfterFlush = false;  // linger, then close, once flushed
+  bool lingering = false;        // write side shut; input is discarded
 
   // Lazy deadlines: the wheel entry fires and compares against these; an
   // extended deadline simply re-inserts, it never has to find the old entry.
@@ -388,6 +390,7 @@ void EventEngine::handleConnEvent(Loop& loop, int fd, std::uint32_t events) {
 }
 
 bool EventEngine::readAndProcess(Loop& loop, ConnState& conn) {
+  if (conn.lingering) return discardInput(loop, conn);
   bool gotData = false;
   while (true) {
     const std::size_t old = conn.in.size();
@@ -650,10 +653,7 @@ bool EventEngine::flushOut(Loop& loop, ConnState& conn) {
       }
     }
   }
-  if (conn.closeAfterFlush) {
-    closeConnection(loop, conn.fd);
-    return false;
-  }
+  if (conn.closeAfterFlush) return linger(loop, conn);
   bool changed = false;
   if (conn.wantWrite) {
     conn.wantWrite = false;
@@ -692,6 +692,39 @@ bool EventEngine::refuseAndClose(Loop& loop, ConnState& conn,
   }
   armTimer(loop, conn);
   return true;
+}
+
+bool EventEngine::linger(Loop& loop, ConnState& conn) {
+  conn.closeAfterFlush = false;
+  conn.lingering = true;
+  std::string().swap(conn.in);  // nothing buffered will ever be parsed
+  (void)::shutdown(conn.fd, SHUT_WR);
+  // Edge-triggered: input already queued raises no new edge, so drain now.
+  // A peer that already sent EOF is closed right here.
+  if (!discardInput(loop, conn)) return false;
+  // A fixed deadline: input arriving while lingering never extends it.
+  conn.deadlineArmed = false;
+  conn.idleArmed = true;
+  conn.idleDeadline = Clock::now() + kLingerGrace;
+  scheduleWheel(loop, conn, conn.idleDeadline);
+  if (conn.readPaused || conn.wantWrite) {
+    conn.readPaused = false;
+    conn.wantWrite = false;
+    updateInterest(loop, conn);
+  }
+  return false;
+}
+
+bool EventEngine::discardInput(Loop& loop, ConnState& conn) {
+  char sink[kReadChunk];
+  while (true) {
+    const ssize_t n = ::recv(conn.fd, sink, sizeof(sink), 0);
+    if (n > 0) continue;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    closeConnection(loop, conn.fd);  // the peer's EOF, or it is gone
+    return false;
+  }
 }
 
 void EventEngine::updateInterest(Loop& loop, ConnState& conn) {

@@ -66,11 +66,20 @@ class EventEngine final : public Engine {
   void dispatchRequest(Loop& loop, ConnState& conn, std::string_view text);
   void enqueueOut(Loop& loop, ConnState& conn, std::string data);
   [[nodiscard]] bool flushOut(Loop& loop, ConnState& conn);
-  /// Appends `ERR <code> <message>`, then closes once it is delivered (or
-  /// drops it with the connection if the peer never drains it).
+  /// Appends `ERR <code> <message>`, then lingers and closes once it is
+  /// delivered (or drops it with the connection if the peer never drains
+  /// it).
   [[nodiscard]] bool refuseAndClose(Loop& loop, ConnState& conn,
                                     std::string_view code,
                                     const std::string& message);
+  /// Lingering close, the non-blocking twin of drainBeforeClose: half-closes
+  /// the write side so the peer reads EOF after the last reply, discards
+  /// input until the peer's EOF or kLingerGrace, and only then closes.
+  /// Returns false: the caller must not touch the connection again.
+  [[nodiscard]] bool linger(Loop& loop, ConnState& conn);
+  /// Reads and drops everything the lingering peer sent; closes on EOF or
+  /// error. Returns false once the connection is closed.
+  [[nodiscard]] bool discardInput(Loop& loop, ConnState& conn);
   void updateInterest(Loop& loop, ConnState& conn);
   void armTimer(Loop& loop, ConnState& conn);
   void scheduleWheel(Loop& loop, ConnState& conn,

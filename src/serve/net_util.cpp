@@ -1,5 +1,6 @@
 #include "serve/net_util.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -26,6 +27,28 @@ ssize_t recvOrHook(int fd, void* data, std::size_t size) {
 }
 
 }  // namespace
+
+void drainBeforeClose(int fd, std::chrono::milliseconds grace) {
+  (void)::shutdown(fd, SHUT_WR);
+  const auto deadline = std::chrono::steady_clock::now() + grace;
+  char sink[16 << 10];
+  while (true) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return;
+    const ssize_t n = ::recv(fd, sink, sizeof(sink), MSG_DONTWAIT);
+    if (n > 0 || (n < 0 && (errno == EINTR || errno == EAGAIN ||
+                            errno == EWOULDBLOCK))) {
+      continue;
+    }
+    return;  // the peer's EOF, or it is gone
+  }
+}
 
 bool sendAll(int fd, std::string_view data) {
   while (!data.empty()) {

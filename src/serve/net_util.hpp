@@ -12,6 +12,17 @@ namespace contend::serve {
 /// than killing the process). Returns false on any error.
 bool sendAll(int fd, std::string_view data);
 
+/// How long a refused connection's input is drained after the parting ERR
+/// before its fd is closed regardless (both serving engines).
+inline constexpr std::chrono::milliseconds kLingerGrace{1000};
+
+/// Lingering close, up to the close itself: half-closes `fd`'s write side
+/// so the peer reads EOF after everything already sent, then reads and
+/// drops input until the peer's EOF, an error, or `grace`. Closing a socket
+/// with unread input resets the connection instead: the peer reads
+/// ECONNRESET, and on TCP may lose replies it has not read yet.
+void drainBeforeClose(int fd, std::chrono::milliseconds grace);
+
 /// Default per-line byte cap for FdLineReader when the caller does not pick
 /// one. The server passes the (tighter) protocol request cap; the client
 /// passes the (looser) response cap — see protocol.hpp.

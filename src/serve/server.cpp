@@ -307,8 +307,9 @@ class ThreadsEngine final : public Engine {
     std::uint64_t pendingQueueWaitUs = queueWaitUs;
     const auto budget =
         std::chrono::milliseconds(std::max(config_.requestDeadlineMs, 0));
-    // Answers `ERR <code> <message>` and flushes; used for conditions the
-    // connection cannot be resynchronized from, so the caller closes it.
+    // Answers `ERR <code> <message>`, flushes, and drains the peer's
+    // input; used for conditions the connection cannot be resynchronized
+    // from, so the caller closes it.
     const auto refuse = [&](std::string_view code,
                             const std::string& message) {
       metrics_.countError();
@@ -317,7 +318,7 @@ class ThreadsEngine final : public Engine {
       response.code = std::string(code);
       response.error = message;
       writer.append(formatResponse(response) + '\n');
-      (void)writer.flush();
+      if (writer.flush()) drainBeforeClose(fd, kLingerGrace);
     };
     // Terminal read results other than a plain close get a parting ERR so
     // the peer learns *why* it was disconnected.

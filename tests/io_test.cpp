@@ -62,18 +62,25 @@ TEST(Disk, DedicatedRequestTimeHelperMatchesSimulation) {
             dedicatedIoRequestTime(config, 4096));
 }
 
-// ---------------------------------------------------------------- IoMix ---
+// ------------------------------------------------------- I/O in the mix ---
 
-TEST(IoMix, PoissonBinomialMatchesWorkloadMixMath) {
-  IoMix mix;
-  mix.add(IoApp{0.2, 100});
-  mix.add(IoApp{0.3, 100});
+/// The mix entry for an I/O generator: computes when not in disk I/O.
+model::CompetingApp ioCompetitor(double ioFraction) {
+  return {0.0, 0, ioFraction, ioFraction > 0.0 ? 1 : 0};
+}
+
+TEST(IoWorkloadMix, PoissonBinomialOverIoFractions) {
+  model::WorkloadMix mix;
+  mix.add(ioCompetitor(0.2));
+  mix.add(ioCompetitor(0.3));
   EXPECT_NEAR(mix.pio(0), 0.8 * 0.7, 1e-12);
   EXPECT_NEAR(mix.pio(1), 0.2 * 0.7 + 0.3 * 0.8, 1e-12);
   EXPECT_NEAR(mix.pio(2), 0.2 * 0.3, 1e-12);
+  // A pure compute/disk app computes whenever it is not in I/O.
+  for (int i = 0; i <= 2; ++i) EXPECT_DOUBLE_EQ(mix.pcomp(i), mix.pio(2 - i));
   EXPECT_THROW((void)mix.pio(3), std::out_of_range);
-  EXPECT_THROW(mix.add(IoApp{1.5, 10}), std::invalid_argument);
-  EXPECT_THROW(mix.add(IoApp{0.5, 0}), std::invalid_argument);
+  EXPECT_THROW(mix.add(ioCompetitor(1.5)), std::invalid_argument);
+  EXPECT_THROW(mix.add({0.0, 0, 0.5, 0}), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- generators ---
@@ -147,9 +154,9 @@ TEST_F(IoTablesFixture, CpuBoundAppsStretchOnlyTheSyscallPart) {
 TEST_F(IoTablesFixture, CompSlowdownPredictionWithinBand) {
   // Validate the composed model: CPU probe against 2 mixed I/O generators.
   const sim::PlatformConfig config = quietConfig();
-  IoMix mix;
-  mix.add(IoApp{0.6, 8192});
-  mix.add(IoApp{0.3, 8192});
+  model::WorkloadMix mix;
+  mix.add(ioCompetitor(0.6));
+  mix.add(ioCompetitor(0.3));
   const double modeled = ioCompSlowdown(mix, tables());
 
   workload::RunSpec spec;
@@ -189,8 +196,8 @@ TEST_F(IoTablesFixture, Validation) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   EXPECT_THROW((void)ioRequestSlowdown(tables(), 9, 0), std::out_of_range);
   EXPECT_THROW((void)ioRequestSlowdown(tables(), -1, 0), std::invalid_argument);
-  IoMix big;
-  for (int i = 0; i < 4; ++i) big.add(IoApp{0.5, 100});
+  model::WorkloadMix big;
+  for (int i = 0; i < 4; ++i) big.add(ioCompetitor(0.5));
   EXPECT_THROW((void)ioCompSlowdown(big, tables()), std::out_of_range);
 }
 

@@ -29,7 +29,6 @@ TEST(Online, StartsDedicated) {
   EXPECT_EQ(tracker.activeApplications(), 0);
   EXPECT_DOUBLE_EQ(tracker.compSlowdown(), 1.0);
   EXPECT_DOUBLE_EQ(tracker.commSlowdown(), 1.0);
-  EXPECT_FALSE(tracker.lastEvent().has_value());
 }
 
 TEST(Online, ArrivalRaisesSlowdowns) {
@@ -44,8 +43,12 @@ TEST(Online, DepartureRestoresDedicated) {
   OnlineContentionTracker tracker(testPlatform());
   const auto a = tracker.applicationArrived(1.0, model::CompetingApp{0.5, 500});
   const auto b = tracker.applicationArrived(2.0, model::CompetingApp{0.9, 100});
-  tracker.applicationDeparted(3.0, a);
-  tracker.applicationDeparted(4.0, b);
+  // Departing hands back the app that left, so callers keeping content
+  // hashes of the mix can subtract it.
+  const model::CompetingApp gone = tracker.applicationDeparted(3.0, a);
+  EXPECT_DOUBLE_EQ(gone.commFraction, 0.5);
+  EXPECT_EQ(gone.messageWords, 500);
+  EXPECT_EQ(tracker.applicationDeparted(4.0, b).messageWords, 100);
   EXPECT_EQ(tracker.activeApplications(), 0);
   EXPECT_NEAR(tracker.compSlowdown(), 1.0, 1e-9);
   EXPECT_NEAR(tracker.commSlowdown(), 1.0, 1e-9);
@@ -73,23 +76,6 @@ TEST(Online, TrackerMatchesBatchPredictor) {
               predictor.predictCommToBackend(sets), 1e-9);
   EXPECT_NEAR(tracker.predictFrontEndComp(10.0),
               predictor.predictFrontEndComp(10.0), 1e-9);
-}
-
-TEST(Online, HistoryRecordsEveryChange) {
-  OnlineContentionTracker tracker(testPlatform());
-  const auto a = tracker.applicationArrived(1.0, model::CompetingApp{0.0, 0});
-  tracker.applicationArrived(2.0, model::CompetingApp{0.4, 200});
-  tracker.applicationDeparted(5.0, a);
-  const auto& history = tracker.history();
-  ASSERT_EQ(history.size(), 3u);
-  EXPECT_EQ(history[0].kind, LoadEventKind::kArrival);
-  EXPECT_EQ(history[0].mixSizeAfter, 1);
-  EXPECT_EQ(history[1].mixSizeAfter, 2);
-  EXPECT_EQ(history[2].kind, LoadEventKind::kDeparture);
-  EXPECT_EQ(history[2].applicationId, a);
-  EXPECT_EQ(history[2].mixSizeAfter, 1);
-  EXPECT_DOUBLE_EQ(history[2].timeSec, 5.0);
-  EXPECT_EQ(tracker.lastEvent()->applicationId, a);
 }
 
 TEST(Online, RejectsBadUsage) {

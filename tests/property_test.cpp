@@ -145,6 +145,13 @@ struct PolicyCase {
   const char* name;
 };
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, pointers
+// included, and ctest's discovered test names embed that printout; printing
+// the case name keeps the names stable from build to build.
+void PrintTo(const PolicyCase& policyCase, std::ostream* os) {
+  *os << policyCase.name;
+}
+
 class SimDeterminism : public ::testing::TestWithParam<PolicyCase> {};
 
 TEST_P(SimDeterminism, IdenticalSeedsIdenticalTimelines) {

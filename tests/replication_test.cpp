@@ -128,7 +128,11 @@ void expectTrackersMatch(ConcurrentTracker& follower,
   EXPECT_EQ(a.active, b.active);
   EXPECT_EQ(bits(a.comp), bits(b.comp));
   EXPECT_EQ(bits(a.comm), bits(b.comm));
-  EXPECT_EQ(follower.stats().signature, primary.stats().signature);
+  EXPECT_EQ(a.signature, b.signature);
+  // The mutation counts ride in the same snapshot, on every path that sets
+  // them: replicated apply and snapshot install.
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.departures, b.departures);
   const TaskPrediction pa = follower.predict(probeTask());
   const TaskPrediction pb = primary.predict(probeTask());
   EXPECT_EQ(bits(pa.frontSec), bits(pb.frontSec));

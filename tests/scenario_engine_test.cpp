@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -338,6 +340,88 @@ TEST(ScenarioEngine, MigrationGuards) {
   GuardProbe probe;
   const EngineResult result = Engine(scn, probe).run();
   EXPECT_EQ(result.migrations, 0u);
+}
+
+// Machines faster than Speed 1 give effective factors below 1, which
+// ext::adviseMigration rejects; the engine rescales every factor by a common
+// constant first. The rescaled factors must never round to just under 1.
+class AdviseOnPlacement final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "advise"; }
+  void NewTask(Engine& engine, TaskId task) override {
+    engine.place(task, 0);
+    const ext::MigrationDecision decision = engine.adviseMigration(task, 1);
+    EXPECT_GT(decision.staySec, 0.0);
+    ++advised;
+  }
+  int advised = 0;
+};
+
+TEST(ScenarioEngine, AdviseMigrationAcceptsFactorsBelowOne) {
+  // A CPU-bound task alone on a Speed-s core has effective factor 1/s, so
+  // sweeping s over (1, 2] sweeps the factors the advisor sees over
+  // [0.5, 1). Both machines share the speed, so "here" and "there" are near
+  // equal and either may be the smallest.
+  const std::string text = R"(machine class:
+{
+    Number of machines: 2
+    Number of cores: 1
+    Speed: 1.0
+    Comm alpha: 0.0005
+    Comm beta: 2e6
+}
+task class:
+{
+    Start time: 0.0
+    End time: 1.0
+    Inter arrival: 0.25
+    Expected runtime: 0.1
+    SLA type: SLA1
+    Seed: 7
+}
+)";
+  constexpr int kSteps = 2048;
+  for (int k = 0; k < kSteps; ++k) {
+    const double factor = 0.5 + 0.5 * k / kSteps;
+    Scenario scn = parseScenario(text, "fast");
+    scn.machineClasses[0].speed = 1.0 / factor;
+    AdviseOnPlacement scheduler;
+    ASSERT_NO_THROW((void)Engine(scn, scheduler).run()) << "factor " << factor;
+    ASSERT_EQ(scheduler.advised, 4);
+  }
+}
+
+TEST(ScenarioEngine, FiveClassSpeedTwoScenarioRunsToCompletion) {
+  // examples/sla_mix.scn plus a fifth, CPU-bound task class. Its Speed 2.0
+  // machines once made the migration advisor throw "slowdown below 1" and
+  // abort the run.
+  std::ifstream file(std::string(CONTEND_EXAMPLES_DIR) + "/sla_mix.scn");
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf() << R"(
+task class:
+{
+    Name: extra
+    Start time: 0.0
+    End time: 60.0
+    Inter arrival: 0.05
+    Arrival: poisson
+    Expected runtime: 0.1
+    Comm fraction: 0.0
+    Message words: 300
+    State words: 400
+    SLA type: SLA1
+    Seed: 2
+}
+)";
+  const Scenario scn = parseScenario(text.str(), "sla_mix_plus_one");
+  ASSERT_EQ(scn.taskClasses.size(), 5u);
+  ContentionPricedScheduler model;
+  EngineResult result;
+  ASSERT_NO_THROW(result = Engine(scn, model).run());
+  EXPECT_GT(result.spawned, 0u);
+  EXPECT_EQ(result.completed, result.spawned);
+  EXPECT_GT(result.migrations, 0u);
 }
 
 // ---- canonical delay tables ----------------------------------------------

@@ -5,6 +5,8 @@
 // BufferedWriter guarantees the server builds on.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -54,25 +56,25 @@ std::string uniqueSocketPath(const char* tag) {
          "_" + std::to_string(counter++) + ".sock";
 }
 
-/// Raw unix-socket connection, for clients that must misbehave in ways the
-/// Client class refuses to.
+/// Raw unix- or TCP-socket connection, for clients that must misbehave in
+/// ways the Client class refuses to.
 class RawConn {
  public:
   explicit RawConn(const std::string& path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) {
-      ADD_FAILURE() << "socket: " << std::strerror(errno);
-      return;
-    }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ADD_FAILURE() << "connect " << path << ": " << std::strerror(errno);
-      ::close(fd_);
-      fd_ = -1;
+    connectTo(AF_UNIX, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  }
+  RawConn(const std::string& host, int port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+      ADD_FAILURE() << "bad IPv4 address " << host;
+      return;
     }
+    connectTo(AF_INET, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   }
   ~RawConn() {
     if (fd_ >= 0) ::close(fd_);
@@ -119,6 +121,19 @@ class RawConn {
   }
 
  private:
+  void connectTo(int family, const sockaddr* addr, socklen_t length) {
+    fd_ = ::socket(family, SOCK_STREAM, 0);
+    if (fd_ < 0) {
+      ADD_FAILURE() << "socket: " << std::strerror(errno);
+      return;
+    }
+    if (::connect(fd_, addr, length) != 0) {
+      ADD_FAILURE() << "connect: " << std::strerror(errno);
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+
   int fd_ = -1;
 };
 
@@ -148,8 +163,9 @@ std::optional<std::string> dripUntilReply(RawConn& conn, const char* byte) {
 class ServerAbuseTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   void start(int workers = 2, int timeoutMs = 2000, int deadlineMs = 0,
-             std::size_t queueCapacity = 128) {
-    config_.endpoint = parseEndpoint("unix:" + uniqueSocketPath("abuse"));
+             std::size_t queueCapacity = 128, bool tcp = false) {
+    config_.endpoint = parseEndpoint(
+        tcp ? "tcp:127.0.0.1:0" : "unix:" + uniqueSocketPath("abuse"));
     config_.engine = GetParam();
     config_.workers = workers;
     config_.queueCapacity = queueCapacity;
@@ -161,6 +177,51 @@ class ServerAbuseTest : public ::testing::TestWithParam<EngineKind> {
 
   [[nodiscard]] const std::string& path() const {
     return config_.endpoint.path;
+  }
+
+  /// Where clients connect: the configured endpoint, with the port the
+  /// server actually bound for `tcp:...:0`.
+  [[nodiscard]] Endpoint liveEndpoint() const {
+    Endpoint endpoint = config_.endpoint;
+    if (endpoint.kind == Endpoint::Kind::kTcp) {
+      endpoint.port = server_->boundPort();
+    }
+    return endpoint;
+  }
+
+  [[nodiscard]] RawConn connectRaw() const {
+    const Endpoint endpoint = liveEndpoint();
+    return endpoint.kind == Endpoint::Kind::kTcp
+               ? RawConn(endpoint.host, endpoint.port)
+               : RawConn(endpoint.path);
+  }
+
+  /// Streams megabytes with no newline; the server must stop buffering at
+  /// kMaxRequestLineBytes, answer ERR line_too_long, and hang up cleanly:
+  /// the ERR arrives intact and the next read is EOF, not a reset.
+  void expectOversizedLineRefused() {
+    RawConn attacker = connectRaw();
+    const std::string chunk(64 << 10, 'A');
+    std::size_t sent = 0;
+    for (int i = 0; i < 1024; ++i) {  // up to 64 MiB
+      if (!attacker.trySend(chunk)) break;
+      sent += chunk.size();
+    }
+    const auto reply = attacker.readLine();
+    ASSERT_TRUE(reply.has_value()) << "no ERR before close after " << sent
+                                   << " bytes";
+    const Response parsed = parseResponse(*reply);
+    EXPECT_FALSE(parsed.ok);
+    EXPECT_EQ(parsed.code, kErrLineTooLong);
+    EXPECT_TRUE(attacker.atEof());
+
+    // A well-formed client right after the abuse is answered normally.
+    Client wellFormed(liveEndpoint());
+    const Response ok = wellFormed.slowdown();
+    ASSERT_TRUE(ok.ok);
+    const Response stats = wellFormed.stats();
+    ASSERT_TRUE(stats.ok);
+    EXPECT_GE(stats.number("line_overflows"), 1.0);
   }
 
   ServerConfig config_;
@@ -266,31 +327,16 @@ TEST(BufferedWriterGuard, FailedFlushKeepsTheBuffer) {
 
 TEST_P(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnected) {
   start();
-  RawConn attacker(path());
-  // Stream megabytes with no newline; the server must stop buffering at
-  // kMaxRequestLineBytes, answer ERR line_too_long, and hang up. Our send
-  // fails once the server closes (the socket buffers drain nowhere).
-  const std::string chunk(64 << 10, 'A');
-  std::size_t sent = 0;
-  for (int i = 0; i < 1024; ++i) {  // up to 64 MiB
-    if (!attacker.trySend(chunk)) break;
-    sent += chunk.size();
-  }
-  const auto reply = attacker.readLine();
-  ASSERT_TRUE(reply.has_value()) << "no ERR before close after " << sent
-                                 << " bytes";
-  const Response parsed = parseResponse(*reply);
-  EXPECT_FALSE(parsed.ok);
-  EXPECT_EQ(parsed.code, kErrLineTooLong);
-  EXPECT_TRUE(attacker.atEof());
+  expectOversizedLineRefused();
+  server_->stop();
+}
 
-  // A well-formed client right after the abuse is answered normally.
-  Client wellFormed(config_.endpoint);
-  const Response ok = wellFormed.slowdown();
-  ASSERT_TRUE(ok.ok);
-  const Response stats = wellFormed.stats();
-  ASSERT_TRUE(stats.ok);
-  EXPECT_GE(stats.number("line_overflows"), 1.0);
+TEST_P(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnectedTcp) {
+  // Over TCP a close with unread input sends a reset, which can also throw
+  // away the ERR before the client reads it.
+  start(/*workers=*/2, /*timeoutMs=*/2000, /*deadlineMs=*/0,
+        /*queueCapacity=*/128, /*tcp=*/true);
+  expectOversizedLineRefused();
   server_->stop();
 }
 

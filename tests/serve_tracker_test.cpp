@@ -1,7 +1,7 @@
 // Tests for serve::ConcurrentTracker: single-threaded semantics vs the
 // underlying OnlineContentionTracker, memo-cache behavior across recurring
-// mixes, and a multi-threaded stress run whose serialized mutation history
-// is replayed on a fresh single-owner tracker and compared event by event.
+// mixes, and a multi-threaded stress run whose replication log is replayed
+// on a fresh single-owner tracker and compared epoch by epoch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "serve/concurrent_tracker.hpp"
+#include "serve/replication.hpp"
 
 namespace contend::serve {
 namespace {
@@ -144,22 +145,30 @@ TEST(ConcurrentTracker, CacheStaysBounded) {
 }
 
 // The concurrency contract, exercised hard: >= 8 threads interleave
-// arrive/depart/predict/slowdown. Afterwards, the serialized history is
-// replayed on a fresh OnlineContentionTracker; every logged slowdown and
-// every epoch-stamped observation made by any thread must match the replay
-// bit for bit (same operation sequence => identical floating-point results).
+// arrive/depart/predict/slowdown. Afterwards, the replication log — the
+// serialized mutation order, as encoded journal frames — is replayed on a
+// fresh OnlineContentionTracker; the slowdowns and p every mutation
+// returned must match the replay bit for bit (same operation sequence =>
+// identical floating-point results), and every epoch-stamped observation
+// made by any thread must match the replayed state at its epoch.
 TEST(ConcurrentTrackerStress, ConcurrentOpsMatchSerialReplay) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 400;
   const auto platform = testPlatform(kThreads * 2 + 2);
   ConcurrentTracker tracker(platform);
+  // Room for every mutation the threads can make (at most one per op plus
+  // the final departures), so the log keeps the whole run.
+  ReplicationLog replication(4 * kThreads * kOpsPerThread);
+  tracker.attachReplicationLog(&replication);
   const tools::TaskSpec task = unitTask();
 
   struct Observation {
     std::uint64_t epoch;
     double comp;  // from slowdowns(), or predict().frontSec (front == 1)
+    const char* source;
   };
   std::vector<std::vector<Observation>> observed(kThreads);
+  std::vector<std::vector<SlowdownSnapshot>> mutated(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -167,6 +176,7 @@ TEST(ConcurrentTrackerStress, ConcurrentOpsMatchSerialReplay) {
       std::mt19937 rng(1000u + static_cast<unsigned>(t));
       std::vector<std::uint64_t> mine;  // ids this thread owns
       auto& log = observed[static_cast<std::size_t>(t)];
+      auto& mutations = mutated[static_cast<std::size_t>(t)];
       log.reserve(kOpsPerThread);
       for (int op = 0; op < kOpsPerThread; ++op) {
         const unsigned choice = rng() % 4;
@@ -175,66 +185,98 @@ TEST(ConcurrentTrackerStress, ConcurrentOpsMatchSerialReplay) {
           const Words words = fraction > 0.0 ? 100 + 100 * (rng() % 12) : 0;
           const MutationResult result = tracker.arrive({fraction, words});
           mine.push_back(result.id);
-          log.push_back({result.after.epoch, result.after.comp});
+          mutations.push_back(result.after);
+          log.push_back({result.after.epoch, result.after.comp, "arrive"});
         } else if (choice == 1 && !mine.empty()) {
           const MutationResult result = tracker.depart(mine.back());
           mine.pop_back();
-          log.push_back({result.after.epoch, result.after.comp});
+          mutations.push_back(result.after);
+          log.push_back({result.after.epoch, result.after.comp, "depart"});
         } else if (choice == 2) {
           const SlowdownSnapshot snapshot = tracker.slowdowns();
-          log.push_back({snapshot.epoch, snapshot.comp});
+          log.push_back({snapshot.epoch, snapshot.comp, "slowdowns"});
         } else {
           const TaskPrediction prediction = tracker.predict(task);
-          log.push_back({prediction.epoch, prediction.frontSec});
+          log.push_back({prediction.epoch, prediction.frontSec,
+                         prediction.cacheHit ? "predict (hit)" : "predict"});
         }
       }
-      for (const std::uint64_t id : mine) (void)tracker.depart(id);
+      for (const std::uint64_t id : mine) {
+        mutations.push_back(tracker.depart(id).after);
+      }
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  // Replay the serialized history on a single-owner tracker.
-  const std::vector<sched::LoadEvent> history = tracker.history();
-  const std::vector<ArrivalRecord> arrivalLog = tracker.arrivals();
+  // Decode the serialized mutation order out of the replication log.
+  const ReplicationLog::Batch batch =
+      replication.since(0, SIZE_MAX, SIZE_MAX);
+  ASSERT_FALSE(batch.snapshotNeeded);
+  std::string frames;
+  for (const auto& [frameEpoch, frame] : batch.frames) frames += frame;
+  std::size_t cleanBytes = 0;
+  const std::vector<JournalRecord> records =
+      decodeRecords(frames, &cleanBytes);
+  ASSERT_EQ(cleanBytes, frames.size());
+  ASSERT_EQ(records.size(), batch.frames.size());
+  ASSERT_EQ(records.size(), tracker.slowdowns().epoch);
+
+  // Replay it on a single-owner tracker.
   sched::OnlineContentionTracker replay(platform);
-  std::map<std::uint64_t, double> compAtEpoch;  // epoch -> comp slowdown
-  compAtEpoch[0] = 1.0;
-  std::size_t nextArrival = 0;
+  std::map<std::uint64_t, SlowdownSnapshot> replayed;  // epoch -> state
+  replayed[0] = SlowdownSnapshot{};
   std::uint64_t epoch = 0;
-  for (const sched::LoadEvent& event : history) {
-    if (event.kind == sched::LoadEventKind::kArrival) {
-      ASSERT_LT(nextArrival, arrivalLog.size());
-      const ArrivalRecord& record = arrivalLog[nextArrival++];
-      ASSERT_EQ(record.id, event.applicationId);
+  for (const JournalRecord& record : records) {
+    ASSERT_EQ(record.epoch, ++epoch);
+    if (record.kind == JournalRecord::Kind::kArrive) {
       const std::uint64_t replayedId =
-          replay.applicationArrived(event.timeSec, record.app);
+          replay.applicationArrived(record.timeSec, record.app);
       // Ids are allocated sequentially, so an identical op sequence yields
       // identical ids — which is what lets departures replay by id.
-      ASSERT_EQ(replayedId, event.applicationId);
+      ASSERT_EQ(replayedId, record.id);
     } else {
-      replay.applicationDeparted(event.timeSec, event.applicationId);
+      ASSERT_EQ(record.kind, JournalRecord::Kind::kDepart);
+      (void)replay.applicationDeparted(record.timeSec, record.id);
     }
-    EXPECT_DOUBLE_EQ(replay.compSlowdown(), event.compSlowdownAfter);
-    EXPECT_DOUBLE_EQ(replay.commSlowdown(), event.commSlowdownAfter);
-    EXPECT_EQ(replay.activeApplications(), event.mixSizeAfter);
-    compAtEpoch[++epoch] = replay.compSlowdown();
+    SlowdownSnapshot& state = replayed[epoch];
+    state.epoch = epoch;
+    state.active = replay.activeApplications();
+    state.comp = replay.compSlowdown();
+    state.comm = replay.commSlowdown();
   }
   EXPECT_EQ(replay.activeApplications(), 0);
+
+  // Every mutation's returned state matches the replay at its epoch, and
+  // the mutations cover every replayed epoch exactly once.
+  std::size_t mutations = 0;
+  for (const auto& perThread : mutated) {
+    for (const SlowdownSnapshot& after : perThread) {
+      const auto it = replayed.find(after.epoch);
+      ASSERT_NE(it, replayed.end()) << "mutation at unknown epoch "
+                                    << after.epoch;
+      EXPECT_DOUBLE_EQ(after.comp, it->second.comp) << "epoch " << after.epoch;
+      EXPECT_DOUBLE_EQ(after.comm, it->second.comm) << "epoch " << after.epoch;
+      EXPECT_EQ(after.active, it->second.active) << "epoch " << after.epoch;
+      ++mutations;
+    }
+  }
+  EXPECT_EQ(mutations, records.size());
 
   // Every observation any thread made must match the replayed state at the
   // epoch it was stamped with.
   std::size_t checked = 0;
   for (const auto& log : observed) {
     for (const Observation& observation : log) {
-      const auto it = compAtEpoch.find(observation.epoch);
-      ASSERT_NE(it, compAtEpoch.end())
+      const auto it = replayed.find(observation.epoch);
+      ASSERT_NE(it, replayed.end())
           << "observation at unknown epoch " << observation.epoch;
       // Not bit-equality: a prediction served from the memo cache after a
       // mix *recurred* was computed at an earlier epoch, and the O(p)
       // deconvolution fast path can leave round-off-level residue relative
       // to replaying the full history.
-      EXPECT_NEAR(observation.comp, it->second, 1e-9 * it->second)
-          << "epoch " << observation.epoch;
+      const double comp = it->second.comp;
+      EXPECT_NEAR(observation.comp, comp, 1e-9 * comp)
+          << "epoch " << observation.epoch << " from " << observation.source;
       ++checked;
     }
   }
@@ -310,7 +352,12 @@ TEST(ConcurrentTrackerStress, ReadersStayConsistentDuringMutations) {
           default: {
             const TrackerStats stats = tracker.stats();
             epoch = stats.epoch;
+            // One snapshot load: the counts are coherent with the epoch
+            // and with p, not merely ordered.
             ASSERT_GE(stats.arrivals, stats.departures);
+            ASSERT_EQ(stats.arrivals + stats.departures, stats.epoch);
+            ASSERT_EQ(stats.arrivals - stats.departures,
+                      static_cast<std::uint64_t>(stats.active));
             break;
           }
         }

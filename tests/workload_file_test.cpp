@@ -81,6 +81,13 @@ struct BadCase {
   const char* expectedFragment;
 };
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, pointers
+// included, and ctest's discovered test names embed that printout; printing
+// the case name keeps the names stable from build to build.
+void PrintTo(const BadCase& badCase, std::ostream* os) {
+  *os << badCase.name;
+}
+
 class WorkloadFileErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(WorkloadFileErrors, ReportsLineAndReason) {
