@@ -23,6 +23,16 @@ std::uint64_t fnvMix(std::uint64_t hash, std::uint64_t value) {
   return hash;
 }
 
+/// splitmix64's finalizer. FNV-1a over an app's mostly zero bytes ends in
+/// multiplications by the prime, which are linear mod 2^64, so a plain sum
+/// of such hashes collides for different mixes; every output bit here
+/// depends on every input bit.
+std::uint64_t finalize(std::uint64_t hash) {
+  hash = (hash ^ (hash >> 30)) * 0xbf58476d1ce4e5b9ull;
+  hash = (hash ^ (hash >> 27)) * 0x94d049bb133111ebull;
+  return hash ^ (hash >> 31);
+}
+
 /// Hash of one competing app. The mix signature is the wrap-around *sum* of
 /// these, which makes it order-independent — the Poisson-binomial
 /// distributions only depend on the multiset of apps, not their order.
@@ -31,7 +41,7 @@ std::uint64_t appHash(const model::CompetingApp& app) {
                               std::bit_cast<std::uint64_t>(app.commFraction));
   hash = fnvMix(hash, static_cast<std::uint64_t>(app.messageWords));
   hash = fnvMix(hash, std::bit_cast<std::uint64_t>(app.ioFraction));
-  return fnvMix(hash, static_cast<std::uint64_t>(app.ioOps));
+  return finalize(fnvMix(hash, static_cast<std::uint64_t>(app.ioOps)));
 }
 
 /// Hash of the prediction-relevant task fields (the name is presentation

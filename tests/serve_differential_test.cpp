@@ -69,7 +69,8 @@ std::string uniqueSocketPath() {
 // --- the oracle -----------------------------------------------------------
 // Duplicates (does not call) the serving layer's hashing so the test fails
 // if either side silently changes: same FNV-1a-over-bytes mixing, same
-// order-independent signature sum, same (signature, task) cache key.
+// splitmix64 finalizer on each app hash, same order-independent signature
+// sum, same (signature, task) cache key.
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -82,12 +83,18 @@ std::uint64_t fnvMix(std::uint64_t hash, std::uint64_t value) {
   return hash;
 }
 
+std::uint64_t finalize(std::uint64_t hash) {
+  hash = (hash ^ (hash >> 30)) * 0xbf58476d1ce4e5b9ull;
+  hash = (hash ^ (hash >> 27)) * 0x94d049bb133111ebull;
+  return hash ^ (hash >> 31);
+}
+
 std::uint64_t appHash(const model::CompetingApp& app) {
   std::uint64_t hash = fnvMix(kFnvOffset,
                               std::bit_cast<std::uint64_t>(app.commFraction));
   hash = fnvMix(hash, static_cast<std::uint64_t>(app.messageWords));
   hash = fnvMix(hash, std::bit_cast<std::uint64_t>(app.ioFraction));
-  return fnvMix(hash, static_cast<std::uint64_t>(app.ioOps));
+  return finalize(fnvMix(hash, static_cast<std::uint64_t>(app.ioOps)));
 }
 
 std::uint64_t taskHash(const tools::TaskSpec& task) {

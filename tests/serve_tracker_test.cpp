@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -132,6 +133,35 @@ TEST(ConcurrentTracker, DistinctTasksGetDistinctEntries) {
   EXPECT_TRUE(tracker.predict(small).cacheHit);
   EXPECT_TRUE(tracker.predict(large).cacheHit);
   EXPECT_EQ(tracker.stats().cacheEntries, 2u);
+}
+
+// Without a finalizer on each app hash, {0.3/1, 0.3/1} and
+// {0.3/346, 0.3/1000} sum to the same signature (FNV-1a over mostly zero
+// bytes is linear enough to collide), and a PREDICT on the second mix
+// answers with the first mix's cached price. Each mix must be priced as a
+// fresh tracker prices it.
+TEST(ConcurrentTracker, MixesWithDistinctAppsGetDistinctPrices) {
+  tools::TaskSpec task = unitTask();
+  task.frontEndSec = 8.0;
+  ConcurrentTracker warm(testPlatform());
+  const auto first = warm.arrive({0.3, 1});
+  const auto second = warm.arrive({0.3, 1});
+  (void)warm.predict(task);
+  (void)warm.depart(first.id);
+  (void)warm.depart(second.id);
+  (void)warm.arrive({0.3, 346});
+  (void)warm.arrive({0.3, 1000});
+  const TaskPrediction cached = warm.predict(task);
+
+  ConcurrentTracker fresh(testPlatform());
+  (void)fresh.arrive({0.3, 346});
+  (void)fresh.arrive({0.3, 1000});
+  const TaskPrediction priced = fresh.predict(task);
+  EXPECT_FALSE(cached.cacheHit);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.frontSec),
+            std::bit_cast<std::uint64_t>(priced.frontSec));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.remoteSec),
+            std::bit_cast<std::uint64_t>(priced.remoteSec));
 }
 
 TEST(ConcurrentTracker, CacheStaysBounded) {
