@@ -153,11 +153,13 @@ int Client::backoffDelayMs(int attempt) {
   // modulo: `state % range` over-weights the low residues whenever 2^64 is
   // not a multiple of `range`, skewing the fleet's delays toward the short
   // end — the opposite of what de-synchronizing jitter wants.
+  // `__extension__` marks the 128-bit type as a deliberate GNU extension,
+  // which -Wpedantic would otherwise reject.
+  __extension__ using Wide = unsigned __int128;
   const std::uint64_t range = static_cast<std::uint64_t>(base / 2 + 1);
   const std::int64_t jitter =
       base > 1 ? static_cast<std::int64_t>(static_cast<std::uint64_t>(
-                     (static_cast<unsigned __int128>(jitterState_) * range) >>
-                     64))
+                     (static_cast<Wide>(jitterState_) * range) >> 64))
                : 0;
   return static_cast<int>(base + jitter);
 }

@@ -10,7 +10,6 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -298,11 +297,7 @@ void EventEngine::handleAccept(Loop& loop) {
         admissionCap_) {
       liveConnections_.fetch_sub(1, std::memory_order_relaxed);
       metrics_.countRejected();
-      Response refused;
-      refused.ok = false;
-      refused.code = std::string(kErrOverloaded);
-      refused.error = "server overloaded, try again";
-      const std::string line = formatResponse(refused) + '\n';
+      const std::string line = errorLine(kErrOverloaded, kOverloadedMessage);
       (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);  // best effort
       ::close(fd);
       continue;
@@ -539,55 +534,7 @@ bool EventEngine::processBuffered(Loop& loop, ConnState& conn) {
 
 void EventEngine::dispatchRequest(Loop& loop, ConnState& conn,
                                   std::string_view text) {
-  const auto begin = Clock::now();
-  Response response;
-  std::string exposition;
-  std::optional<Verb> verb;
-  try {
-    const std::optional<Request> request = parseRequestText(text);
-    if (!request) return;  // comment-only text: no response, no counters
-    verb = request->verb;
-    if (request->verb == Verb::kMetrics) {
-      exposition = server_.renderMetricsText();
-    } else {
-      response = server_.handle(*request);
-    }
-  } catch (const ProtocolError& error) {
-    response.ok = false;
-    response.code = error.code();
-    response.error = error.what();
-  } catch (const std::invalid_argument& error) {
-    response.ok = false;
-    response.code = std::string(kErrInvalidArgument);
-    response.error = error.what();
-  } catch (const std::exception& error) {
-    response.ok = false;
-    response.code = std::string(kErrInternal);
-    response.error = error.what();
-  }
-  if (verb) metrics_.countRequest(*verb);
-  if (exposition.empty()) {
-    if (!response.ok) metrics_.countError();
-    enqueueOut(loop, conn, formatResponse(response) + '\n');
-  } else {
-    enqueueOut(loop, conn, std::move(exposition));
-  }
-  const auto elapsed = Clock::now() - begin;
-  if (verb) {
-    metrics_.observeLatency(*verb, elapsed);
-    const auto durationUs = static_cast<std::uint64_t>(std::max<std::int64_t>(
-        0, std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-               .count()));
-    if (config_.slowRequestUs > 0 && durationUs >= config_.slowRequestUs) {
-      metrics_.countSlowRequest();
-      std::fprintf(stderr,
-                   "contend-served: slow request verb=%s bytes=%zu "
-                   "duration_us=%llu queue_wait_us=%llu\n",
-                   verbName(*verb), text.size(),
-                   static_cast<unsigned long long>(durationUs),
-                   static_cast<unsigned long long>(conn.pendingQueueWaitUs));
-    }
-  }
+  enqueueOut(loop, conn, server_.answer(text, conn.pendingQueueWaitUs));
   conn.pendingQueueWaitUs = 0;
 }
 
@@ -671,14 +618,10 @@ bool EventEngine::flushOut(Loop& loop, ConnState& conn) {
 
 bool EventEngine::refuseAndClose(Loop& loop, ConnState& conn,
                                  std::string_view code,
-                                 const std::string& message) {
+                                 std::string message) {
   metrics_.countError();
-  Response response;
-  response.ok = false;
-  response.code = std::string(code);
-  response.error = message;
   conn.closeAfterFlush = true;
-  enqueueOut(loop, conn, formatResponse(response) + '\n');
+  enqueueOut(loop, conn, errorLine(code, std::move(message)));
   if (!flushOut(loop, conn)) return false;  // delivered-and-closed, or error
   // The ERR is stuck behind a full socket buffer; EPOLLOUT will finish it,
   // but bound the linger so an unreachable peer cannot pin the fd.

@@ -10,8 +10,9 @@
 //    does not exist for unix sockets, which the test suites and the default
 //    daemon endpoint use.)
 //  - Reads are edge-triggered and drained to EAGAIN into a per-connection
-//    buffer; requests are tokenized in place over that buffer
-//    (parseRequestText) — no istream, no per-line copies, no thread handoff.
+//    buffer; requests are framed in place over that buffer and each framed
+//    view goes to Server::answer, the parse-dispatch-encode step the threads
+//    engine shares — no per-line copies, no thread handoff.
 //  - Responses queue on the connection and leave via one sendmsg with up to
 //    64 iovecs, so a pipelined burst is answered with one syscall. EAGAIN
 //    arms EPOLLOUT and resumes exactly where the partial write stopped; a
@@ -24,9 +25,10 @@
 //    find and remove a wheel entry.
 //
 // Protocol semantics — verbs, ERR codes and messages, line/block caps,
-// overload refusal, drain behavior — match ThreadsEngine exactly; the
-// differential suite runs the same schedule against both engines and
-// expects bit-identical responses.
+// overload refusal, drain behavior — match ThreadsEngine exactly (the
+// answer step and the ERR line helper are shared; framing, deadlines and
+// refusal mechanics are this file's own). The differential suite runs the
+// same schedule against both engines and expects bit-identical responses.
 #pragma once
 
 #include <atomic>
@@ -63,6 +65,7 @@ class EventEngine final : public Engine {
   void handleConnEvent(Loop& loop, int fd, std::uint32_t events);
   [[nodiscard]] bool readAndProcess(Loop& loop, ConnState& conn);
   [[nodiscard]] bool processBuffered(Loop& loop, ConnState& conn);
+  /// Hands one framed request to Server::answer and queues the reply.
   void dispatchRequest(Loop& loop, ConnState& conn, std::string_view text);
   void enqueueOut(Loop& loop, ConnState& conn, std::string data);
   [[nodiscard]] bool flushOut(Loop& loop, ConnState& conn);
@@ -71,7 +74,7 @@ class EventEngine final : public Engine {
   /// it).
   [[nodiscard]] bool refuseAndClose(Loop& loop, ConnState& conn,
                                     std::string_view code,
-                                    const std::string& message);
+                                    std::string message);
   /// Lingering close, the non-blocking twin of drainBeforeClose: half-closes
   /// the write side so the peer reads EOF after the last reply, discards
   /// input until the peer's EOF or kLingerGrace, and only then closes.

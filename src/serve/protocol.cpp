@@ -2,8 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <istream>
-#include <sstream>
 
 #include "util/tokens.hpp"
 
@@ -126,87 +124,6 @@ Request parseDepart(TokenCursor& line) {
     fail("DEPART: bad application id '" + std::string(*token) + "'");
   }
   rejectTrailing(line, "DEPART");
-  return request;
-}
-
-Request parsePredict(TokenCursor& firstLine, std::istream& in) {
-  Request request;
-  request.verb = Verb::kPredict;
-  const auto nameToken = firstLine.next();
-  const std::string name =
-      nameToken ? std::string(*nameToken) : std::string("task");
-  rejectTrailing(firstLine, "PREDICT");
-
-  // Collect the block up to (and including) its `end`, then reuse the
-  // workload-file parser so PREDICT payloads stay byte-compatible with
-  // `.workload` task bodies, error messages included.
-  std::string block = "task " + name + "\n";
-  bool closed = false;
-  std::string raw;
-  for (int lines = 0; lines < kMaxPredictBlockLines && std::getline(in, raw);
-       ++lines) {
-    block += raw;
-    block += '\n';
-    if (util::firstToken(raw) == "end") {
-      closed = true;
-      break;
-    }
-  }
-  if (!closed) {
-    fail(kErrBlockUnterminated,
-         "PREDICT: block not closed with 'end' within " +
-             std::to_string(kMaxPredictBlockLines) + " lines");
-  }
-  std::istringstream blockStream(block);
-  tools::WorkloadFile parsed;
-  try {
-    parsed = tools::parseWorkload(blockStream);
-  } catch (const std::runtime_error& error) {
-    fail(std::string("PREDICT: ") + error.what());
-  }
-  request.task = std::move(parsed.tasks.at(0));
-  return request;
-}
-
-Request parsePredictBatch(TokenCursor& firstLine, std::istream& in) {
-  Request request;
-  request.verb = Verb::kPredictBatch;
-  rejectTrailing(firstLine, "PREDICT_BATCH");
-
-  // Collect everything up to `end_batch`; the payload is one or more full
-  // `task <name> ... end` blocks in workload syntax, so the whole batch goes
-  // through the workload-file parser in one pass.
-  std::string block;
-  bool closed = false;
-  std::string raw;
-  for (int lines = 0; lines < kMaxBatchBlockLines && std::getline(in, raw);
-       ++lines) {
-    if (util::firstToken(raw) == "end_batch") {
-      closed = true;
-      break;
-    }
-    block += raw;
-    block += '\n';
-  }
-  if (!closed) {
-    fail(kErrBlockUnterminated,
-         "PREDICT_BATCH: block not closed with 'end_batch' within " +
-             std::to_string(kMaxBatchBlockLines) + " lines");
-  }
-  std::istringstream blockStream(block);
-  tools::WorkloadFile parsed;
-  try {
-    parsed = tools::parseWorkload(blockStream);
-  } catch (const std::runtime_error& error) {
-    fail(std::string("PREDICT_BATCH: ") + error.what());
-  }
-  if (!parsed.competitors.empty()) {
-    fail("PREDICT_BATCH: competitor lines are not allowed in a batch");
-  }
-  if (parsed.tasks.empty()) {
-    fail(kErrEmptyBatch, "PREDICT_BATCH: batch contains no tasks");
-  }
-  request.batch = std::move(parsed.tasks);
   return request;
 }
 
@@ -351,9 +268,10 @@ Request parsePredictView(TokenCursor& firstLine, LineCursor& lines) {
       nameToken ? std::string(*nameToken) : std::string("task");
   rejectTrailing(firstLine, "PREDICT");
 
-  // Mirror parsePredict's two phases exactly: first collect the block up to
-  // its `end` (so an unterminated block reports block_unterminated even if
-  // an earlier line is also malformed), then parse.
+  // Two phases: first collect the block up to its `end` (so an unterminated
+  // block reports block_unterminated even if an earlier line is also
+  // malformed), then reuse the workload-file parser so PREDICT payloads stay
+  // byte-compatible with `.workload` task bodies, error messages included.
   std::vector<std::string_view> block;
   bool closed = false;
   for (int count = 0; count < kMaxPredictBlockLines; ++count) {
@@ -373,8 +291,8 @@ Request parsePredictView(TokenCursor& firstLine, LineCursor& lines) {
   tools::WorkloadFile parsed;
   try {
     tools::WorkloadParser parser;
-    // The synthesized `task <name>` header is line 1, matching the block
-    // string the istream path hands to parseWorkload.
+    // The synthesized `task <name>` header is line 1 of the block, so
+    // workload-parser line numbers count the verb line.
     parser.feedLine("task " + name);
     for (const std::string_view line : block) parser.feedLine(line);
     parsed = parser.finish();
@@ -390,6 +308,9 @@ Request parsePredictBatchView(TokenCursor& firstLine, LineCursor& lines) {
   request.verb = Verb::kPredictBatch;
   rejectTrailing(firstLine, "PREDICT_BATCH");
 
+  // Collect everything up to `end_batch`; the payload is one or more full
+  // `task <name> ... end` blocks in workload syntax, so the whole batch goes
+  // through the workload-file parser in one pass.
   std::vector<std::string_view> block;
   bool closed = false;
   for (int count = 0; count < kMaxBatchBlockLines; ++count) {
@@ -433,45 +354,6 @@ const char* verbName(Verb verb) {
 std::optional<Verb> verbFromName(std::string_view name) {
   for (int i = 0; i < kVerbCount; ++i) {
     if (name == kVerbNames[i]) return static_cast<Verb>(i);
-  }
-  return std::nullopt;
-}
-
-std::optional<Request> readRequest(std::istream& in) {
-  std::string raw;
-  while (std::getline(in, raw)) {
-    TokenCursor line(util::stripLineComment(raw));
-    const auto verbToken = line.next();
-    if (!verbToken) continue;  // blank / comment-only
-
-    const auto verb = verbFromName(*verbToken);
-    if (!verb) {
-      fail(kErrBadVerb, "unknown verb '" + std::string(*verbToken) + "'");
-    }
-    switch (*verb) {
-      case Verb::kArrive:
-        return parseArrive(line);
-      case Verb::kDepart:
-        return parseDepart(line);
-      case Verb::kPredict:
-        return parsePredict(line, in);
-      case Verb::kPredictBatch:
-        return parsePredictBatch(line, in);
-      case Verb::kCalibrate:
-        return parseCalibrate(line);
-      case Verb::kRepl:
-        return parseRepl(line);
-      case Verb::kSlowdown:
-      case Verb::kStats:
-      case Verb::kHealth:
-      case Verb::kMetrics:
-      case Verb::kDrift: {
-        rejectTrailing(line, *verbToken);
-        Request request;
-        request.verb = *verb;
-        return request;
-      }
-    }
   }
   return std::nullopt;
 }
@@ -659,6 +541,14 @@ std::string formatResponse(const Response& response) {
     out += value;
   }
   return out;
+}
+
+std::string errorLine(std::string_view code, std::string message) {
+  Response response;
+  response.ok = false;
+  response.code = std::string(code);
+  response.error = std::move(message);
+  return formatResponse(response) + '\n';
 }
 
 Response parseResponse(const std::string& line) {

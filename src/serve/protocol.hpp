@@ -47,7 +47,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -153,22 +152,17 @@ struct Request {
   std::uint64_t replOffset = 0;         // REPL SNAPSHOT
 };
 
-/// Reads the next request (skipping blanks/comments); nullopt at EOF.
-/// Throws ProtocolError on malformed input, including an unterminated or
-/// oversized PREDICT block.
-[[nodiscard]] std::optional<Request> readRequest(std::istream& in);
-
-/// Parses one request already assembled in memory: `text` is a view over
-/// the raw received bytes of a complete logical request (the verb line plus,
-/// for PREDICT/PREDICT_BATCH, the whole block through its terminator line).
-/// This is the epoll engine's zero-copy path — no istream, no line copies;
-/// lines may end in "\r\n" or "\n". Grammar, ERR codes, and error messages
-/// are identical to readRequest; nullopt when the text holds only blank or
-/// comment lines.
+/// The one request parser. `text` is a view over the raw received bytes of
+/// one framed request: the verb line plus, for PREDICT/PREDICT_BATCH, the
+/// whole block through its terminator line. Blank and comment lines before
+/// the verb are skipped, lines may end in "\r\n" or "\n", and no line is
+/// copied. nullopt when the text holds only blank or comment lines. Throws
+/// ProtocolError on malformed input, including an unterminated or oversized
+/// PREDICT/PREDICT_BATCH block.
 [[nodiscard]] std::optional<Request> parseRequestText(std::string_view text);
 
 /// Serializes a request in wire format (always newline-terminated;
-/// round-trips through readRequest).
+/// round-trips through parseRequestText).
 [[nodiscard]] std::string formatRequest(const Request& request);
 
 struct Response {
@@ -189,6 +183,10 @@ struct Response {
 
 /// One line, no trailing newline: `OK k=v ...` or `ERR <code> message`.
 [[nodiscard]] std::string formatResponse(const Response& response);
+/// `ERR <code> <message>` plus its newline: the line an engine sends when it
+/// refuses a connection or ends one it cannot resynchronize.
+[[nodiscard]] std::string errorLine(std::string_view code,
+                                    std::string message);
 [[nodiscard]] Response parseResponse(const std::string& line);
 
 /// Cap on PREDICT block length, so a hostile client cannot grow a request

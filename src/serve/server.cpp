@@ -19,7 +19,6 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -245,11 +244,7 @@ class ThreadsEngine final : public Engine {
       applyAcceptedSocketOptions(fd, config_);
       if (!pushConnection(fd)) {
         metrics_.countRejected();
-        Response refused;
-        refused.ok = false;
-        refused.code = kErrOverloaded;
-        refused.error = "server overloaded, try again";
-        sendAll(fd, formatResponse(refused) + '\n');
+        sendAll(fd, errorLine(kErrOverloaded, kOverloadedMessage));
         ::close(fd);
       }
     }
@@ -310,14 +305,9 @@ class ThreadsEngine final : public Engine {
     // Answers `ERR <code> <message>`, flushes, and drains the peer's
     // input; used for conditions the connection cannot be resynchronized
     // from, so the caller closes it.
-    const auto refuse = [&](std::string_view code,
-                            const std::string& message) {
+    const auto refuse = [&](std::string_view code, std::string message) {
       metrics_.countError();
-      Response response;
-      response.ok = false;
-      response.code = std::string(code);
-      response.error = message;
-      writer.append(formatResponse(response) + '\n');
+      writer.append(errorLine(code, std::move(message)));
       if (writer.flush()) drainBeforeClose(fd, kLingerGrace);
     };
     // Terminal read results other than a plain close get a parting ERR so
@@ -390,64 +380,7 @@ class ThreadsEngine final : public Engine {
         }
       }
 
-      const auto begin = std::chrono::steady_clock::now();
-      Response response;
-      // METRICS bypasses Response formatting: its answer is the multi-line
-      // Prometheus exposition, written verbatim through its `# EOF` line.
-      std::string exposition;
-      std::optional<Verb> verb;
-      try {
-        std::istringstream in(requestText);
-        const std::optional<Request> request = readRequest(in);
-        if (!request) continue;
-        verb = request->verb;
-        if (request->verb == Verb::kMetrics) {
-          exposition = server_.renderMetricsText();
-        } else {
-          response = server_.handle(*request);
-        }
-      } catch (const ProtocolError& error) {
-        response.ok = false;
-        response.code = error.code();
-        response.error = error.what();
-      } catch (const std::invalid_argument& error) {
-        // Semantic rejections from the tracker (unknown id, out-of-order
-        // event, mix overflow): the request was well-formed, the state said
-        // no.
-        response.ok = false;
-        response.code = kErrInvalidArgument;
-        response.error = error.what();
-      } catch (const std::exception& error) {
-        response.ok = false;
-        response.code = kErrInternal;
-        response.error = error.what();
-      }
-      if (verb) metrics_.countRequest(*verb);
-      if (exposition.empty()) {
-        if (!response.ok) metrics_.countError();
-        writer.append(formatResponse(response) + '\n');
-      } else {
-        writer.append(exposition);
-      }
-      const auto elapsed = std::chrono::steady_clock::now() - begin;
-      if (verb) {
-        metrics_.observeLatency(*verb, elapsed);
-        const auto durationUs = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(
-                0,
-                std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-                    .count()));
-        if (config_.slowRequestUs > 0 &&
-            durationUs >= config_.slowRequestUs) {
-          metrics_.countSlowRequest();
-          std::fprintf(stderr,
-                       "contend-served: slow request verb=%s bytes=%zu "
-                       "duration_us=%llu queue_wait_us=%llu\n",
-                       verbName(*verb), requestText.size(),
-                       static_cast<unsigned long long>(durationUs),
-                       static_cast<unsigned long long>(pendingQueueWaitUs));
-        }
-      }
+      writer.append(server_.answer(requestText, pendingQueueWaitUs));
       pendingQueueWaitUs = 0;
     }
     // Anything still buffered was never delivered; account for it instead of
@@ -577,6 +510,61 @@ void Server::wait() {
 void Server::stop() {
   requestStop();
   wait();
+}
+
+std::string Server::answer(std::string_view text,
+                           std::uint64_t queueWaitUs) {
+  const auto begin = std::chrono::steady_clock::now();
+  Response response;
+  // METRICS bypasses Response formatting: its answer is the multi-line
+  // Prometheus exposition, written verbatim through its `# EOF` line.
+  std::string reply;
+  std::optional<Verb> verb;
+  try {
+    const std::optional<Request> request = parseRequestText(text);
+    if (!request) return reply;  // comment-only text: no reply, no counters
+    verb = request->verb;
+    if (request->verb == Verb::kMetrics) {
+      reply = renderMetricsText();
+    } else {
+      response = handle(*request);
+    }
+  } catch (const ProtocolError& error) {
+    response.ok = false;
+    response.code = error.code();
+    response.error = error.what();
+  } catch (const std::invalid_argument& error) {
+    // Semantic rejections from the tracker (unknown id, out-of-order event,
+    // mix overflow): the request was well-formed, the state said no.
+    response.ok = false;
+    response.code = kErrInvalidArgument;
+    response.error = error.what();
+  } catch (const std::exception& error) {
+    response.ok = false;
+    response.code = kErrInternal;
+    response.error = error.what();
+  }
+  if (verb) metrics_.countRequest(*verb);
+  if (reply.empty()) {
+    if (!response.ok) metrics_.countError();
+    reply = formatResponse(response) + '\n';
+  }
+  if (!verb) return reply;
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  metrics_.observeLatency(*verb, elapsed);
+  const auto durationUs = static_cast<std::uint64_t>(std::max<std::int64_t>(
+      0, std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+             .count()));
+  if (config_.slowRequestUs > 0 && durationUs >= config_.slowRequestUs) {
+    metrics_.countSlowRequest();
+    std::fprintf(stderr,
+                 "contend-served: slow request verb=%s bytes=%zu "
+                 "duration_us=%llu queue_wait_us=%llu\n",
+                 verbName(*verb), text.size(),
+                 static_cast<unsigned long long>(durationUs),
+                 static_cast<unsigned long long>(queueWaitUs));
+  }
+  return reply;
 }
 
 Response Server::handle(const Request& request) {

@@ -17,11 +17,14 @@
 //    and a timer wheel enforcing the same idle-timeout and slow-loris
 //    deadline guarantees. `--engine auto` prefers epoll.
 //
-// Both engines answer identical verbs with identical ERR codes and feed
-// the same Metrics. `requestStop()` is async-signal safe in both (an atomic
-// flag plus a self-pipe write), which is what lets the daemon drain
-// gracefully from a SIGTERM handler: stop accepting, finish queued and
-// in-flight connections, join.
+// The engines own only framing, socket I/O, deadlines and refusals. Each
+// framed request goes through one shared step, Server::answer (parse with
+// parseRequestText, dispatch, encode, count), so both answer identical
+// verbs with identical ERR codes and feed the same Metrics.
+// `requestStop()` is async-signal safe in both (an atomic flag plus a
+// self-pipe write), which is what lets the daemon drain gracefully from a
+// SIGTERM handler: stop accepting, finish queued and in-flight
+// connections, join.
 #pragma once
 
 #include <chrono>
@@ -121,6 +124,11 @@ class Engine {
 /// not sit out Nagle/delayed-ACK stalls) and the optional SO_SNDBUF shrink.
 void applyAcceptedSocketOptions(int fd, const ServerConfig& config);
 
+/// Message of the `ERR overloaded` line both engines send a connection that
+/// arrives over the admission cap, just before closing it.
+inline constexpr const char* kOverloadedMessage =
+    "server overloaded, try again";
+
 class Server {
  public:
   Server(ServerConfig config, ConcurrentTracker& tracker, Metrics& metrics);
@@ -153,6 +161,16 @@ class Server {
   friend class ThreadsEngine;
   friend class EventEngine;
 
+  /// The per-request step both engines share. `text` is one framed request
+  /// (verb line plus any PREDICT/PREDICT_BATCH block through its
+  /// terminator); `queueWaitUs` is how long it waited before service, for
+  /// the slow-request log. Parses, answers METRICS with the exposition or
+  /// calls handle(), maps exceptions to ERR codes, counts the request and
+  /// any error, records its latency and logs it when slow. Returns the
+  /// reply bytes, or an empty string for comment-only text (nothing sent,
+  /// nothing counted).
+  [[nodiscard]] std::string answer(std::string_view text,
+                                   std::uint64_t queueWaitUs);
   [[nodiscard]] Response handle(const Request& request);
   /// The REPL verb (handshake, frame streaming, snapshot chunks, ack,
   /// promote) — split out of handle() for readability.

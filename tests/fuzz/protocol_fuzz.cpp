@@ -1,5 +1,5 @@
 // protocol_fuzz.cpp — libFuzzer harness over the contend-serve parsing
-// surface: readRequest, parseResponse, parseWorkload, parseEndpoint, the
+// surface: parseRequestText, parseResponse, parseWorkload, parseEndpoint, the
 // journal codecs (decodeRecords, decodeSnapshot), the scenario DSL parser
 // (parseScenario), the replication surface (the REPL verb grammar plus
 // the hex frame codec, decodeReplFrame), and the job-trace parser
@@ -30,6 +30,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "scenario/scenario.hpp"
 #include "serve/journal.hpp"
@@ -50,23 +51,33 @@ using contend::serve::ProtocolError;
   std::abort();
 }
 
-void driveReadRequest(const std::string& payload) {
-  std::istringstream in(payload);
-  // Parse every request in the payload; cap the count so a pathological
-  // input of thousands of blank lines stays fast.
-  for (int parsed = 0; parsed < 64; ++parsed) {
-    const auto request = contend::serve::readRequest(in);
-    if (!request) break;
-    // Round trip: a request we accepted must format into wire text that
-    // reparses into a request formatting byte-identically.
-    const std::string wire = contend::serve::formatRequest(*request);
-    std::istringstream again(wire);
-    const auto reparsed = contend::serve::readRequest(again);
-    if (!reparsed) die("formatted request did not reparse");
-    if (reparsed->verb != request->verb) die("verb changed in round trip");
-    if (contend::serve::formatRequest(*reparsed) != wire) {
-      die("request round trip is not a fixed point");
+/// Parses `text` as one framed request; one it accepts must format into wire
+/// text that reparses into a request formatting byte-identically.
+void checkRequest(std::string_view text) {
+  const auto request = contend::serve::parseRequestText(text);
+  if (!request) return;
+  const std::string wire = contend::serve::formatRequest(*request);
+  const auto reparsed = contend::serve::parseRequestText(wire);
+  if (!reparsed) die("formatted request did not reparse");
+  if (reparsed->verb != request->verb) die("verb changed in round trip");
+  if (contend::serve::formatRequest(*reparsed) != wire) {
+    die("request round trip is not a fixed point");
+  }
+}
+
+void driveParseRequest(const std::string& payload) {
+  // The engines frame a request at a line boundary, so parse from every
+  // line start; cap the count so thousands of short lines stay fast.
+  std::string_view rest = payload;
+  for (int starts = 0; starts < 64 && !rest.empty(); ++starts) {
+    try {
+      checkRequest(rest);
+    } catch (const ProtocolError&) {
+      // expected rejection path; the next line start is another framing
     }
+    const std::size_t newline = rest.find('\n');
+    if (newline == std::string_view::npos) break;
+    rest.remove_prefix(newline + 1);
   }
 }
 
@@ -153,17 +164,7 @@ void driveReplProtocol(const std::string& payload) {
   // check. Everything after the first newline is a hex-framed replication
   // record for decodeReplFrame.
   const std::size_t split = payload.find('\n');
-  std::istringstream in("REPL " + payload.substr(0, split) + "\n");
-  const auto request = contend::serve::readRequest(in);  // may throw
-  if (request) {
-    const std::string wire = contend::serve::formatRequest(*request);
-    std::istringstream again(wire);
-    const auto reparsed = contend::serve::readRequest(again);
-    if (!reparsed) die("formatted REPL request did not reparse");
-    if (contend::serve::formatRequest(*reparsed) != wire) {
-      die("REPL request round trip is not a fixed point");
-    }
-  }
+  checkRequest("REPL " + payload.substr(0, split) + "\n");  // may throw
   if (split == std::string::npos) return;
   std::string hex = payload.substr(split + 1);
   // decodeReplFrame returns nullopt on odd length, non-hex bytes, torn or
@@ -229,7 +230,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   try {
     switch (selector) {
       case 0:
-        driveReadRequest(payload);
+        driveParseRequest(payload);
         break;
       case 1:
         driveParseResponse(payload);

@@ -502,8 +502,8 @@ TEST_P(RecalibrationServerFixture, CalibrateAndDriftVerbsEndToEnd) {
 INSTANTIATE_TEST_SUITE_P(Engines, RecalibrationServerFixture,
                          ::testing::Values(EngineKind::kThreads,
                                            EngineKind::kEpoll),
-                         [](const auto& info) {
-                           return info.param == EngineKind::kThreads
+                         [](const auto& paramInfo) {
+                           return paramInfo.param == EngineKind::kThreads
                                       ? "threads"
                                       : "epoll";
                          });

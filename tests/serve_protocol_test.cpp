@@ -1,10 +1,12 @@
-// Tests for the contend-serve wire protocol: round trips, malformed input,
-// and a deterministic fuzz pass over mutated valid requests.
+// Tests for the contend-serve wire protocol: round trips through
+// parseRequestText (the parser both serving engines use), malformed input
+// with its ERR codes, and a deterministic fuzz pass over mutated valid
+// requests.
 #include <gtest/gtest.h>
 
 #include <random>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "serve/protocol.hpp"
 
@@ -39,6 +41,16 @@ Request predictBatchRequest() {
   return request;
 }
 
+/// The ERR code parseRequestText rejects `text` with; "" if it accepts.
+std::string rejectionCode(std::string_view text) {
+  try {
+    (void)parseRequestText(text);
+  } catch (const ProtocolError& error) {
+    return error.code();
+  }
+  return "";
+}
+
 TEST(Protocol, VerbNamesRoundTrip) {
   for (int i = 0; i < kVerbCount; ++i) {
     const Verb verb = static_cast<Verb>(i);
@@ -55,8 +67,7 @@ TEST(Protocol, ArriveRoundTrips) {
   request.verb = Verb::kArrive;
   request.app.commFraction = 0.375;
   request.app.messageWords = 800;
-  std::istringstream in(formatRequest(request));
-  const auto parsed = readRequest(in);
+  const auto parsed = parseRequestText(formatRequest(request));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->verb, Verb::kArrive);
   EXPECT_DOUBLE_EQ(parsed->app.commFraction, 0.375);
@@ -67,8 +78,7 @@ TEST(Protocol, DepartRoundTrips) {
   Request request;
   request.verb = Verb::kDepart;
   request.applicationId = 18446744073709551615ull;  // max uint64
-  std::istringstream in(formatRequest(request));
-  const auto parsed = readRequest(in);
+  const auto parsed = parseRequestText(formatRequest(request));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->verb, Verb::kDepart);
   EXPECT_EQ(parsed->applicationId, request.applicationId);
@@ -78,19 +88,16 @@ TEST(Protocol, HealthRoundTrips) {
   Request request;
   request.verb = Verb::kHealth;
   EXPECT_EQ(formatRequest(request), "HEALTH\n");
-  std::istringstream in(formatRequest(request));
-  const auto parsed = readRequest(in);
+  const auto parsed = parseRequestText(formatRequest(request));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->verb, Verb::kHealth);
   // Argument-less verb: trailing tokens are a protocol error.
-  std::istringstream extra("HEALTH now\n");
-  EXPECT_THROW((void)readRequest(extra), ProtocolError);
+  EXPECT_EQ(rejectionCode("HEALTH now\n"), kErrParse);
 }
 
 TEST(Protocol, PredictRoundTrips) {
   const Request request = predictRequest();
-  std::istringstream in(formatRequest(request));
-  const auto parsed = readRequest(in);
+  const auto parsed = parseRequestText(formatRequest(request));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->verb, Verb::kPredict);
   EXPECT_EQ(parsed->task.name, "solver");
@@ -104,8 +111,7 @@ TEST(Protocol, PredictRoundTrips) {
 
 TEST(Protocol, PredictBatchRoundTrips) {
   const Request request = predictBatchRequest();
-  std::istringstream in(formatRequest(request));
-  const auto parsed = readRequest(in);
+  const auto parsed = parseRequestText(formatRequest(request));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->verb, Verb::kPredictBatch);
   ASSERT_EQ(parsed->batch.size(), 2u);
@@ -125,23 +131,8 @@ TEST(Protocol, FormatRejectsEmptyBatch) {
   EXPECT_THROW((void)formatRequest(request), ProtocolError);
 }
 
-TEST(Protocol, ReadsSeveralRequestsFromOneStream) {
-  std::istringstream in(
-      "# warm-up comment\n"
-      "\n"
-      "SLOWDOWN\n"
-      "ARRIVE 0.5 100\n" +
-      formatRequest(predictRequest()) + "STATS\n");
-  EXPECT_EQ(readRequest(in)->verb, Verb::kSlowdown);
-  EXPECT_EQ(readRequest(in)->verb, Verb::kArrive);
-  EXPECT_EQ(readRequest(in)->verb, Verb::kPredict);
-  EXPECT_EQ(readRequest(in)->verb, Verb::kStats);
-  EXPECT_FALSE(readRequest(in).has_value());  // EOF
-}
-
 TEST(Protocol, PredictDefaultsTaskName) {
-  std::istringstream in("PREDICT\nfront 1\nback 2\nend\n");
-  const auto parsed = readRequest(in);
+  const auto parsed = parseRequestText("PREDICT\nfront 1\nback 2\nend\n");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->task.name, "task");
 }
@@ -149,6 +140,7 @@ TEST(Protocol, PredictDefaultsTaskName) {
 struct BadRequest {
   const char* name;
   const char* text;
+  std::string_view code = kErrParse;
 };
 
 // gtest prints a parameter that has no PrintTo as its raw bytes, pointers
@@ -161,15 +153,15 @@ void PrintTo(const BadRequest& request, std::ostream* os) {
 class ProtocolRejects : public ::testing::TestWithParam<BadRequest> {};
 
 TEST_P(ProtocolRejects, Throws) {
-  std::istringstream in(GetParam().text);
-  EXPECT_THROW((void)readRequest(in), ProtocolError) << GetParam().name;
+  EXPECT_EQ(rejectionCode(GetParam().text), GetParam().code)
+      << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ProtocolRejects,
     ::testing::Values(
-        BadRequest{"unknownVerb", "FROBNICATE\n"},
-        BadRequest{"lowercaseVerb", "arrive 0.5 100\n"},
+        BadRequest{"unknownVerb", "FROBNICATE\n", kErrBadVerb},
+        BadRequest{"lowercaseVerb", "arrive 0.5 100\n", kErrBadVerb},
         BadRequest{"arriveMissingArgs", "ARRIVE 0.5\n"},
         BadRequest{"arriveBadFraction", "ARRIVE 1.5 100\n"},
         BadRequest{"arriveNegativeWords", "ARRIVE 0.5 -3\n"},
@@ -183,7 +175,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadRequest{"slowdownTrailing", "SLOWDOWN now\n"},
         BadRequest{"statsTrailing", "STATS verbose\n"},
         BadRequest{"predictTrailing", "PREDICT a b\nfront 1\nback 1\nend\n"},
-        BadRequest{"predictUnclosed", "PREDICT a\nfront 1\nback 1\n"},
+        BadRequest{"predictUnclosed", "PREDICT a\nfront 1\nback 1\n",
+                   kErrBlockUnterminated},
         BadRequest{"predictMissingCosts", "PREDICT a\nfront 1\nend\n"},
         BadRequest{"predictBadDataSet",
                    "PREDICT a\nfront 1\nback 1\nto_backend 5 y 9\nend\n"},
@@ -196,9 +189,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadRequest{"batchTrailing",
                    "PREDICT_BATCH now\ntask a\nfront 1\nback 1\nend\n"
                    "end_batch\n"},
-        BadRequest{"batchEmpty", "PREDICT_BATCH\nend_batch\n"},
-        BadRequest{"batchUnclosed", "PREDICT_BATCH\ntask a\nfront 1\n"
-                                    "back 1\nend\n"},
+        BadRequest{"batchEmpty", "PREDICT_BATCH\nend_batch\n", kErrEmptyBatch},
+        BadRequest{"batchUnclosed",
+                   "PREDICT_BATCH\ntask a\nfront 1\nback 1\nend\n",
+                   kErrBlockUnterminated},
         BadRequest{"batchCompetitor",
                    "PREDICT_BATCH\ncompetitor 0.1 5\ntask a\nfront 1\n"
                    "back 1\nend\nend_batch\n"},
@@ -212,8 +206,7 @@ TEST(Protocol, PredictBlockLengthIsBounded) {
     text += "front 1.0\n";
   }
   text += "end\n";
-  std::istringstream in(text);
-  EXPECT_THROW((void)readRequest(in), ProtocolError);
+  EXPECT_EQ(rejectionCode(text), kErrBlockUnterminated);
 }
 
 TEST(Protocol, ResponseRoundTrips) {
@@ -239,6 +232,14 @@ TEST(Protocol, ErrorResponseRoundTrips) {
   const Response parsed = parseResponse(formatResponse(response));
   EXPECT_FALSE(parsed.ok);
   EXPECT_EQ(parsed.error, "unknown application id 7 with newline");
+}
+
+TEST(Protocol, ErrorLineIsOneTerminatedLine) {
+  EXPECT_EQ(errorLine(kErrOverloaded, "try\nagain"),
+            "ERR overloaded try again\n");
+  const Response parsed = parseResponse("ERR overloaded try again");
+  EXPECT_FALSE(parsed.ok);
+  EXPECT_EQ(parsed.code, kErrOverloaded);
 }
 
 TEST(Protocol, ParseResponseRejectsGarbage) {
@@ -280,13 +281,17 @@ TEST(Protocol, MutatedRequestsNeverCrash) {
         }
         if (mutated.empty()) mutated = "\n";
       }
-      std::istringstream in(mutated);
-      try {
-        // Drain the whole stream: multi-request parsing must stay robust.
-        while (readRequest(in).has_value()) {
+      // An engine may frame a request at any line boundary, so parse from
+      // every line start, not only the first.
+      for (std::string_view rest = mutated; !rest.empty();) {
+        try {
+          (void)parseRequestText(rest);
+        } catch (const ProtocolError&) {
+          // expected for most mutations
         }
-      } catch (const ProtocolError&) {
-        // expected for most mutations
+        const std::size_t newline = rest.find('\n');
+        rest.remove_prefix(newline == std::string_view::npos ? rest.size()
+                                                             : newline + 1);
       }
     }
   }

@@ -321,11 +321,19 @@ TEST_P(ServerFixture, PredictBatchOverTheWire) {
 TEST_P(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
   startUnix();
   Client client(config_.endpoint);
-  // One write carrying three requests; the server must answer all three (in
-  // order) even though it flushes its buffered responses at once.
+  // One write carrying four requests, with a comment line, a blank line and
+  // a PREDICT block among them; the server must answer every request (in
+  // order, skipping the comment and the blank line) even though it flushes
+  // its buffered responses at once.
   const std::string burst =
       "SLOWDOWN\n"
+      "# a comment between requests\n"
+      "\n"
       "ARRIVE 0.3 800\n"
+      "PREDICT piped\n"
+      "front 2.0\n"
+      "back 1.0\n"
+      "end\n"
       "SLOWDOWN\n";
   const Response first = client.raw(burst);
   ASSERT_TRUE(first.ok);
@@ -335,9 +343,59 @@ TEST_P(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(*second.find("verb"), "ARRIVE");
   const Response third = client.readResponse();
-  ASSERT_TRUE(third.ok);
-  EXPECT_EQ(*third.find("verb"), "SLOWDOWN");
-  EXPECT_DOUBLE_EQ(third.number("comp"), second.number("comp"));
+  ASSERT_TRUE(third.ok) << third.error;
+  EXPECT_EQ(*third.find("verb"), "PREDICT");
+  EXPECT_EQ(*third.find("name"), "piped");
+  EXPECT_DOUBLE_EQ(third.number("front"), 2.0 * second.number("comp"));
+  const Response fourth = client.readResponse();
+  ASSERT_TRUE(fourth.ok);
+  EXPECT_EQ(*fourth.find("verb"), "SLOWDOWN");
+  EXPECT_DOUBLE_EQ(fourth.number("comp"), second.number("comp"));
+  server_->stop();
+}
+
+TEST_P(ServerFixture, CrlfRequestsGetTheirLfReplies) {
+  startUnix();
+  Client client(config_.endpoint);
+  const auto crlf = [](const std::string& text) {
+    std::string out;
+    for (const char c : text) {
+      if (c == '\n') out += '\r';
+      out += c;
+    }
+    return out;
+  };
+  // ARRIVE changes the mix, so each form arrives on the same (empty) mix:
+  // arrive, depart, arrive again. Only the id and the epoch may differ.
+  const std::string arrive = "ARRIVE 0.3 800\n";
+  const Response arriveCrlf = client.raw(crlf(arrive));
+  ASSERT_TRUE(arriveCrlf.ok) << arriveCrlf.error;
+  const Response departCrlf =
+      client.raw(crlf("DEPART " + *arriveCrlf.find("id") + "\n"));
+  ASSERT_TRUE(departCrlf.ok) << departCrlf.error;
+  const Response arriveLf = client.raw(arrive);
+  ASSERT_TRUE(arriveLf.ok);
+  ASSERT_EQ(arriveCrlf.fields.size(), arriveLf.fields.size());
+  for (std::size_t i = 0; i < arriveLf.fields.size(); ++i) {
+    const auto& [key, value] = arriveLf.fields[i];
+    EXPECT_EQ(arriveCrlf.fields[i].first, key);
+    if (key != "id" && key != "epoch") {
+      EXPECT_EQ(arriveCrlf.fields[i].second, value) << key;
+    }
+  }
+  // PREDICT leaves the mix alone: once a first call has warmed the cache,
+  // the CRLF and LF blocks must get the same reply line.
+  const std::string predict =
+      "PREDICT framed\n"
+      "front 2.0\n"
+      "back 1.0\n"
+      "to_backend 10 x 100\n"
+      "end\n";
+  ASSERT_TRUE(client.raw(predict).ok);
+  const Response predictCrlf = client.raw(crlf(predict));
+  ASSERT_TRUE(predictCrlf.ok) << predictCrlf.error;
+  EXPECT_EQ(*predictCrlf.find("name"), "framed");
+  EXPECT_EQ(formatResponse(predictCrlf), formatResponse(client.raw(predict)));
   server_->stop();
 }
 
