@@ -13,15 +13,6 @@ namespace contend::scenario {
 
 namespace {
 
-constexpr std::string_view kSpace = util::kTokenSpace;
-
-std::string_view trim(std::string_view s) {
-  const auto begin = s.find_first_not_of(kSpace);
-  if (begin == std::string_view::npos) return {};
-  const auto end = s.find_last_not_of(kSpace);
-  return s.substr(begin, end - begin + 1);
-}
-
 /// Lowercases and collapses runs of whitespace to single spaces, so the key
 /// "Number  Of Machines" matches "number of machines".
 std::string canonicalKey(std::string_view key) {
@@ -29,7 +20,7 @@ std::string canonicalKey(std::string_view key) {
   out.reserve(key.size());
   bool pendingSpace = false;
   for (const char c : key) {
-    if (kSpace.find(c) != std::string_view::npos) {
+    if (util::isTokenSpace(c)) {
       pendingSpace = !out.empty();
       continue;
     }
@@ -61,7 +52,7 @@ class Parser {
     scenario.name = name_;
     Line line;
     while (nextContentLine(line)) {
-      const std::string_view head = trim(line.content);
+      const std::string_view head = util::trimSpace(line.content);
       const std::size_t headOffset = line.offset + contentIndent(line);
       if (matchHeader(head, "machine class")) {
         scenario.machineClasses.push_back(
@@ -107,7 +98,7 @@ class Parser {
       const std::string_view raw =
           text_.substr(lineStart, lineEnd - lineStart);
       const std::string_view content = util::stripLineComment(raw);
-      if (trim(content).empty()) continue;
+      if (util::trimSpace(content).empty()) continue;
       out = Line{raw, content, lineStart};
       return true;
     }
@@ -115,13 +106,12 @@ class Parser {
   }
 
   static std::size_t contentIndent(const Line& line) {
-    const auto first = line.content.find_first_not_of(kSpace);
-    return first == std::string_view::npos ? 0 : first;
+    const std::size_t first = util::skipSpace(line.content, 0);
+    return first == line.content.size() ? 0 : first;
   }
 
   static std::string_view firstWord(std::string_view s) {
-    const auto end = s.find_first_of(kSpace);
-    return end == std::string_view::npos ? s : s.substr(0, end);
+    return s.substr(0, util::skipToken(s, 0));
   }
 
   // ---- header / brace handling -------------------------------------------
@@ -130,7 +120,7 @@ class Parser {
   static bool matchHeader(std::string_view head, std::string_view what) {
     std::string_view body = head;
     if (!body.empty() && body.back() == '{') {
-      body = trim(body.substr(0, body.size() - 1));
+      body = util::trimSpace(body.substr(0, body.size() - 1));
     }
     if (body.empty() || body.back() != ':') return false;
     return canonicalKey(body.substr(0, body.size() - 1)) == what;
@@ -147,7 +137,7 @@ class Parser {
     if (!nextContentLine(line)) {
       fail(text_.size(), "expected '{' to open the block, got end of input");
     }
-    const std::string_view head = trim(line.content);
+    const std::string_view head = util::trimSpace(line.content);
     if (head != "{") {
       fail(line.offset + contentIndent(line),
            "expected '{' to open the block, got '" +
@@ -172,7 +162,7 @@ class Parser {
       fail(text_.size(), "unterminated block: expected '}' before end of input");
     }
     const std::size_t indent = contentIndent(line);
-    const std::string_view head = trim(line.content);
+    const std::string_view head = util::trimSpace(line.content);
     if (head == "}") {
       closeOffset_ = line.offset + indent;
       return std::nullopt;
@@ -183,7 +173,8 @@ class Parser {
            "expected 'Key: value' or '}', got '" +
                std::string(firstWord(head)) + "'");
     }
-    const std::string_view keyText = trim(line.content.substr(0, colon));
+    const std::string_view keyText =
+        util::trimSpace(line.content.substr(0, colon));
     if (keyText.empty()) {
       fail(line.offset + indent, "empty key before ':'");
     }
@@ -191,11 +182,11 @@ class Parser {
     field.key = canonicalKey(keyText);
     field.keyOffset = line.offset + indent;
     const std::string_view after = line.content.substr(colon + 1);
-    const auto valueBegin = after.find_first_not_of(kSpace);
-    if (valueBegin == std::string_view::npos) {
+    const std::size_t valueBegin = util::skipSpace(after, 0);
+    if (valueBegin == after.size()) {
       fail(line.offset + colon, "missing value after ':'");
     }
-    field.value = trim(after);
+    field.value = util::trimSpace(after);
     field.valueOffset = line.offset + colon + 1 + valueBegin;
     return field;
   }
@@ -223,7 +214,7 @@ class Parser {
 
   /// Values are single tokens; embedded whitespace is malformed.
   void requireSingleToken(const Field& field) const {
-    if (field.value.find_first_of(kSpace) != std::string_view::npos) {
+    if (util::skipToken(field.value, 0) != field.value.size()) {
       fail(field.valueOffset,
            "malformed value '" + std::string(field.value) + "'");
     }

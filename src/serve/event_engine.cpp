@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -34,9 +32,6 @@ using Clock = std::chrono::steady_clock;
 // recv() drains in chunks this size; a full chunk loops for more (ET
 // requires reading to EAGAIN before the next edge is reported).
 constexpr std::size_t kReadChunk = std::size_t{16} << 10;
-// iovecs per sendmsg: a pipelined burst of up to this many responses leaves
-// in one syscall.
-constexpr int kMaxIov = 64;
 constexpr int kMaxEvents = 64;
 // Timer wheel: 256 slots × 25 ms ≈ 6.4 s horizon; longer deadlines park at
 // the far edge and re-schedule when they fire early (entries are checked
@@ -75,11 +70,10 @@ struct EventEngine::ConnState {
   int blockLines = 0;  // post-verb lines consumed, terminator included
   bool peerEof = false;
 
-  // Outbound responses, oldest first; outHeadPos is how much of the front
-  // chunk a partial write already sent.
-  std::deque<std::string> out;
+  // Outbound reply bytes, oldest first, encoded in place by Server::answer;
+  // outHeadPos is how much of them a partial write already sent.
+  std::string out;
   std::size_t outHeadPos = 0;
-  std::size_t outBytes = 0;
   bool wantWrite = false;   // EPOLLOUT armed after an EAGAIN
   bool readPaused = false;  // EPOLLIN dropped: write backlog over high water
   bool closeAfterFlush = false;  // linger, then close, once flushed
@@ -96,6 +90,11 @@ struct EventEngine::ConnState {
   // accept→register delay, reported (like the threads engine's queue wait)
   // against the first request only.
   std::uint64_t pendingQueueWaitUs = 0;
+
+  // The parse target Server::answer reuses for every request.
+  Request request;
+
+  [[nodiscard]] std::size_t outBytes() const { return out.size() - outHeadPos; }
 };
 
 struct EventEngine::Loop {
@@ -506,7 +505,7 @@ bool EventEngine::processBuffered(Loop& loop, ConnState& conn) {
       const char* terminator = conn.batchBlock ? "end_batch" : "end";
       const int maxLines =
           conn.batchBlock ? kMaxBatchBlockLines : kMaxPredictBlockLines;
-      if (util::firstToken(line) == terminator) {
+      if (util::firstTokenIs(line, terminator)) {
         conn.inBlock = false;
         dispatchRequest(loop, conn,
                         std::string_view(base + conn.requestStart,
@@ -534,47 +533,39 @@ bool EventEngine::processBuffered(Loop& loop, ConnState& conn) {
 
 void EventEngine::dispatchRequest(Loop& loop, ConnState& conn,
                                   std::string_view text) {
-  enqueueOut(loop, conn, server_.answer(text, conn.pendingQueueWaitUs));
+  server_.answer(text, conn.request, conn.out, conn.pendingQueueWaitUs);
   conn.pendingQueueWaitUs = 0;
+  noteQueued(loop, conn);
 }
 
-void EventEngine::enqueueOut(Loop& loop, ConnState& conn, std::string data) {
-  if (data.empty()) return;
-  conn.outBytes += data.size();
-  conn.out.push_back(std::move(data));
-  if (!conn.readPaused && conn.outBytes >= kWriteHighWater) {
+void EventEngine::noteQueued(Loop& loop, ConnState& conn) {
+  if (!conn.readPaused && conn.outBytes() >= kWriteHighWater) {
     conn.readPaused = true;
     updateInterest(loop, conn);
   }
 }
 
 bool EventEngine::flushOut(Loop& loop, ConnState& conn) {
-  while (!conn.out.empty()) {
-    iovec iov[kMaxIov];
-    int count = 0;
-    for (const std::string& chunk : conn.out) {
-      if (count == kMaxIov) break;
-      const std::size_t skip = count == 0 ? conn.outHeadPos : 0;
-      iov[count].iov_base = const_cast<char*>(chunk.data()) + skip;
-      iov[count].iov_len = chunk.size() - skip;
-      ++count;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(count);
-    // sendmsg, not writev: MSG_NOSIGNAL suppresses SIGPIPE when the peer
-    // vanished mid-response (writev has no flag for that).
-    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+  while (conn.outBytes() > 0) {
+    // MSG_NOSIGNAL suppresses SIGPIPE when the peer vanished mid-response.
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.outHeadPos,
+                             conn.outBytes(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         metrics_.countEagainWrite();
+        // Drop the delivered prefix once it dominates, so a slow reader's
+        // buffer stays bounded by what is actually pending.
+        if (conn.outHeadPos > conn.out.size() / 2) {
+          conn.out.erase(0, conn.outHeadPos);
+          conn.outHeadPos = 0;
+        }
         bool changed = false;
         if (!conn.wantWrite) {
           conn.wantWrite = true;
           changed = true;
         }
-        if (conn.readPaused && conn.outBytes <= kWriteLowWater &&
+        if (conn.readPaused && conn.outBytes() <= kWriteLowWater &&
             !conn.closeAfterFlush) {
           conn.readPaused = false;
           changed = true;
@@ -585,21 +576,10 @@ bool EventEngine::flushOut(Loop& loop, ConnState& conn) {
       closeConnection(loop, conn.fd);  // EPIPE/ECONNRESET: peer is gone
       return false;
     }
-    std::size_t written = static_cast<std::size_t>(n);
-    conn.outBytes -= written;
-    while (written > 0) {
-      std::string& head = conn.out.front();
-      const std::size_t avail = head.size() - conn.outHeadPos;
-      if (written >= avail) {
-        written -= avail;
-        conn.outHeadPos = 0;
-        conn.out.pop_front();
-      } else {
-        conn.outHeadPos += written;
-        written = 0;
-      }
-    }
+    conn.outHeadPos += static_cast<std::size_t>(n);
   }
+  conn.out.clear();
+  conn.outHeadPos = 0;
   if (conn.closeAfterFlush) return linger(loop, conn);
   bool changed = false;
   if (conn.wantWrite) {
@@ -618,10 +598,11 @@ bool EventEngine::flushOut(Loop& loop, ConnState& conn) {
 
 bool EventEngine::refuseAndClose(Loop& loop, ConnState& conn,
                                  std::string_view code,
-                                 std::string message) {
+                                 const std::string& message) {
   metrics_.countError();
   conn.closeAfterFlush = true;
-  enqueueOut(loop, conn, errorLine(code, std::move(message)));
+  appendErrorLine(conn.out, code, message);
+  noteQueued(loop, conn);
   if (!flushOut(loop, conn)) return false;  // delivered-and-closed, or error
   // The ERR is stuck behind a full socket buffer; EPOLLOUT will finish it,
   // but bound the linger so an unreachable peer cannot pin the fd.
@@ -756,7 +737,7 @@ void EventEngine::closeConnection(Loop& loop, int fd) {
   const auto it = loop.conns.find(fd);
   if (it == loop.conns.end()) return;
   ConnState& conn = *it->second;
-  if (conn.outBytes > 0) metrics_.countDroppedBytes(conn.outBytes);
+  if (conn.outBytes() > 0) metrics_.countDroppedBytes(conn.outBytes());
   (void)::epoll_ctl(loop.epollFd, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   loop.conns.erase(it);

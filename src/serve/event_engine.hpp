@@ -13,11 +13,11 @@
 //    buffer; requests are framed in place over that buffer and each framed
 //    view goes to Server::answer, the parse-dispatch-encode step the threads
 //    engine shares — no per-line copies, no thread handoff.
-//  - Responses queue on the connection and leave via one sendmsg with up to
-//    64 iovecs, so a pipelined burst is answered with one syscall. EAGAIN
-//    arms EPOLLOUT and resumes exactly where the partial write stopped; a
-//    256 KiB write backlog pauses reads on that connection until the peer
-//    drains to half that (slow-reader backpressure).
+//  - Replies are encoded straight into one output buffer per connection and
+//    leave via one send, so a pipelined burst is answered with one syscall.
+//    EAGAIN arms EPOLLOUT and resumes exactly where the partial write
+//    stopped; a 256 KiB write backlog pauses reads on that connection until
+//    the peer drains to half that (slow-reader backpressure).
 //  - A 256-slot × 25 ms timer wheel enforces the idle receive timeout and
 //    the per-request slow-loris deadline that the threads engine gets from
 //    SO_RCVTIMEO + FdLineReader's request window. Entries are (fd,
@@ -65,16 +65,18 @@ class EventEngine final : public Engine {
   void handleConnEvent(Loop& loop, int fd, std::uint32_t events);
   [[nodiscard]] bool readAndProcess(Loop& loop, ConnState& conn);
   [[nodiscard]] bool processBuffered(Loop& loop, ConnState& conn);
-  /// Hands one framed request to Server::answer and queues the reply.
+  /// Hands one framed request to Server::answer, which appends the reply
+  /// to the connection's output buffer.
   void dispatchRequest(Loop& loop, ConnState& conn, std::string_view text);
-  void enqueueOut(Loop& loop, ConnState& conn, std::string data);
+  /// Pauses reads once the output backlog crosses the high water.
+  void noteQueued(Loop& loop, ConnState& conn);
   [[nodiscard]] bool flushOut(Loop& loop, ConnState& conn);
   /// Appends `ERR <code> <message>`, then lingers and closes once it is
   /// delivered (or drops it with the connection if the peer never drains
   /// it).
   [[nodiscard]] bool refuseAndClose(Loop& loop, ConnState& conn,
                                     std::string_view code,
-                                    std::string message);
+                                    const std::string& message);
   /// Lingering close, the non-blocking twin of drainBeforeClose: half-closes
   /// the write side so the peer reads EOF after the last reply, discards
   /// input until the peer's EOF or kLingerGrace, and only then closes.

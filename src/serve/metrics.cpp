@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <string>
+#include <string_view>
 
 namespace contend::serve {
 
@@ -60,34 +60,40 @@ MetricsSnapshot Metrics::snapshot() const {
   return snapshot;
 }
 
-void Metrics::fill(Response& response) const {
+void Metrics::fill(ReplyEncoder& reply) const {
   const MetricsSnapshot s = snapshot();
-  response.add("requests", s.requestsTotal);
+  reply.add("requests", s.requestsTotal);
   for (int verb = 0; verb < kVerbCount; ++verb) {
-    std::string key = verbName(static_cast<Verb>(verb));
-    std::transform(key.begin(), key.end(), key.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    response.add(key, s.requestsByVerb[static_cast<std::size_t>(verb)]);
+    // The per-verb counter keys are the lowercased verb names.
+    char key[32];
+    std::size_t length = 0;
+    for (const char* c = verbName(static_cast<Verb>(verb));
+         *c != '\0' && length < sizeof(key); ++c) {
+      key[length++] =
+          static_cast<char>(std::tolower(static_cast<unsigned char>(*c)));
+    }
+    reply.add(std::string_view(key, length),
+              s.requestsByVerb[static_cast<std::size_t>(verb)]);
   }
-  response.add("errors", s.errors);
-  response.add("accepted", s.connectionsAccepted);
-  response.add("rejected", s.connectionsRejected);
-  response.add("accept_errors", s.acceptErrors);
-  response.add("line_overflows", s.lineOverflows);
-  response.add("deadlines_expired", s.deadlinesExpired);
-  response.add("dropped_bytes", s.droppedBytes);
-  response.add("queue_hwm", s.queueDepthHighWater);
-  response.add("slow_requests", s.slowRequests);
-  response.add("loop_wakeups", s.loopWakeups);
-  response.add("loop_events", s.loopEvents);
-  response.add("loop_eagain_reads", s.loopEagainReads);
-  response.add("loop_eagain_writes", s.loopEagainWrites);
-  response.add("lat_samples", s.latencySamples);
-  response.add("p50_us", s.p50Us);
-  response.add("p90_us", s.p90Us);
-  response.add("p99_us", s.p99Us);
-  response.add("p999_us", s.p999Us);
-  response.add("max_us", s.maxUs);
+  reply.add("errors", s.errors);
+  reply.add("accepted", s.connectionsAccepted);
+  reply.add("rejected", s.connectionsRejected);
+  reply.add("accept_errors", s.acceptErrors);
+  reply.add("line_overflows", s.lineOverflows);
+  reply.add("deadlines_expired", s.deadlinesExpired);
+  reply.add("dropped_bytes", s.droppedBytes);
+  reply.add("queue_hwm", s.queueDepthHighWater);
+  reply.add("slow_requests", s.slowRequests);
+  reply.add("loop_wakeups", s.loopWakeups);
+  reply.add("loop_events", s.loopEvents);
+  reply.add("loop_eagain_reads", s.loopEagainReads);
+  reply.add("loop_eagain_writes", s.loopEagainWrites);
+  reply.add("lat_samples", s.latencySamples);
+  reply.add("p50_us", s.p50Us);
+  reply.add("p90_us", s.p90Us);
+  reply.add("p99_us", s.p99Us);
+  reply.add("p999_us", s.p999Us);
+  reply.add("max_us", s.maxUs);
 }
 
 }  // namespace contend::serve

@@ -98,7 +98,7 @@ class Metrics {
   void countEagainRead() {
     loopEagainReads_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// sendmsg() hit EAGAIN and the connection armed EPOLLOUT backpressure.
+  /// send() hit EAGAIN and the connection armed EPOLLOUT backpressure.
   void countEagainWrite() {
     loopEagainWrites_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -120,8 +120,8 @@ class Metrics {
   /// window) with at most one bucket width of error.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Appends the snapshot as `key=value` response fields (STATS verb).
-  void fill(Response& response) const;
+  /// Appends the snapshot as `key=value` reply fields (STATS verb).
+  void fill(ReplyEncoder& reply) const;
 
  private:
   std::array<std::atomic<std::uint64_t>, kVerbCount> byVerb_{};

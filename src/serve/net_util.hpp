@@ -111,6 +111,9 @@ class BufferedWriter {
 
   void append(std::string_view data) { buffer_.append(data); }
 
+  /// The pending bytes, for encoding a reply straight into them.
+  [[nodiscard]] std::string& buffer() { return buffer_; }
+
   /// True on success (including an empty buffer); false once the peer is
   /// gone. On failure the buffer is kept intact, so the caller's error path
   /// can see (and account for) exactly which bytes were never delivered.

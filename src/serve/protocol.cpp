@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <optional>
 
 #include "util/tokens.hpp"
 
@@ -30,16 +31,28 @@ void rejectTrailing(TokenCursor& cursor, std::string_view verb) {
   }
 }
 
-/// Formats doubles with round-trip precision (requests carry measured
+/// Appends a double with round-trip precision (requests carry measured
 /// fractions; responses carry predictions operators compare across runs).
 /// std::to_chars emits the shortest representation that parses back to the
 /// same bits — and skips the iostream/locale machinery on the hot path.
-std::string formatDouble(double value) {
+void appendDouble(std::string& out, double value) {
   char buffer[32];
   const auto [ptr, ec] =
       std::to_chars(buffer, buffer + sizeof(buffer), value);
   if (ec != std::errc{}) fail("formatDouble: unrepresentable value");
-  return std::string(buffer, ptr);
+  out.append(buffer, ptr);
+}
+
+void appendUint(std::string& out, std::uint64_t value) {
+  char buffer[24];
+  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, ptr);
+}
+
+std::string formatDouble(double value) {
+  std::string out;
+  appendDouble(out, value);
+  return out;
 }
 
 /// The `.workload` task body shared by PREDICT and PREDICT_BATCH payloads
@@ -63,9 +76,7 @@ std::string formatTaskBody(const tools::TaskSpec& task) {
   return out;
 }
 
-Request parseArrive(TokenCursor& line) {
-  Request request;
-  request.verb = Verb::kArrive;
+void parseArrive(TokenCursor& line, Request& request) {
   const auto fraction = line.next();
   const auto words = line.next();
   if (!fraction || !words ||
@@ -108,12 +119,9 @@ Request parseArrive(TokenCursor& line) {
     }
     rejectTrailing(line, "ARRIVE");
   }
-  return request;
 }
 
-Request parseDepart(TokenCursor& line) {
-  Request request;
-  request.verb = Verb::kDepart;
+void parseDepart(TokenCursor& line, Request& request) {
   const auto token = line.next();
   if (!token) fail("DEPART: expected '<applicationId>'");
   const char* first = token->data();
@@ -124,21 +132,18 @@ Request parseDepart(TokenCursor& line) {
     fail("DEPART: bad application id '" + std::string(*token) + "'");
   }
   rejectTrailing(line, "DEPART");
-  return request;
 }
 
-Request parseCalibrate(TokenCursor& line) {
-  Request request;
-  request.verb = Verb::kCalibrate;
+void parseCalibrate(TokenCursor& line, Request& request) {
   const auto sub = line.next();
   if (!sub) {
     request.calibrate = CalibrateAction::kReport;
-    return request;
+    return;
   }
   if (*sub == "APPLY") {
     request.calibrate = CalibrateAction::kApply;
     rejectTrailing(line, "CALIBRATE APPLY");
-    return request;
+    return;
   }
   if (*sub != "OBSERVE") {
     fail("CALIBRATE: expected no arguments, 'APPLY', or 'OBSERVE ...', got '" +
@@ -177,7 +182,6 @@ Request parseCalibrate(TokenCursor& line) {
     fail("CALIBRATE OBSERVE: bad value '" + std::string(*valueToken) + "'");
   }
   rejectTrailing(line, "CALIBRATE OBSERVE");
-  return request;
 }
 
 std::uint64_t parseReplU64(TokenCursor& line, std::string_view what) {
@@ -193,9 +197,7 @@ std::uint64_t parseReplU64(TokenCursor& line, std::string_view what) {
   return value;
 }
 
-Request parseRepl(TokenCursor& line) {
-  Request request;
-  request.verb = Verb::kRepl;
+void parseRepl(TokenCursor& line, Request& request) {
   const auto sub = line.next();
   if (!sub) {
     fail("REPL: expected HELLO, STATUS, SINCE, ACK, SNAPSHOT, or PROMOTE");
@@ -237,7 +239,6 @@ Request parseRepl(TokenCursor& line) {
   } else {
     fail("REPL: unknown subcommand '" + std::string(*sub) + "'");
   }
-  return request;
 }
 
 /// Walks '\n'-terminated lines of a view without copying; strips one
@@ -260,89 +261,114 @@ class LineCursor {
   std::string_view rest_;
 };
 
-Request parsePredictView(TokenCursor& firstLine, LineCursor& lines) {
-  Request request;
-  request.verb = Verb::kPredict;
-  const auto nameToken = firstLine.next();
-  const std::string name =
-      nameToken ? std::string(*nameToken) : std::string("task");
-  rejectTrailing(firstLine, "PREDICT");
+/// Scans on from a malformed block line for the block's terminator: a bad
+/// line is reported only once the block is known to close within its cap,
+/// so `block_unterminated` wins over any malformed line.
+bool blockCloses(LineCursor& lines, std::string_view terminator,
+                 int linesLeft) {
+  for (; linesLeft > 0; --linesLeft) {
+    const auto raw = lines.next();
+    if (!raw) return false;
+    if (util::firstTokenIs(*raw, terminator)) return true;
+  }
+  return false;
+}
 
-  // Two phases: first collect the block up to its `end` (so an unterminated
-  // block reports block_unterminated even if an earlier line is also
-  // malformed), then reuse the workload-file parser so PREDICT payloads stay
-  // byte-compatible with `.workload` task bodies, error messages included.
-  std::vector<std::string_view> block;
-  bool closed = false;
+/// PREDICT <name> plus its task body through `end`, parsed in one pass into
+/// request.task. Line numbers count the verb line as line 1, as if the body
+/// followed a `task <name>` line of a `.workload` file.
+void parsePredict(TokenCursor& firstLine, LineCursor& lines,
+                  Request& request) {
+  const auto nameToken = firstLine.next();
+  rejectTrailing(firstLine, "PREDICT");
+  tools::WorkloadLineParser grammar;
+  grammar.open(request.task, nameToken.value_or("task"));
   for (int count = 0; count < kMaxPredictBlockLines; ++count) {
     const auto raw = lines.next();
     if (!raw) break;
-    block.push_back(*raw);
-    if (util::firstToken(*raw) == "end") {
-      closed = true;
+    TokenCursor line(util::stripLineComment(*raw));
+    const auto keyword = line.next();
+    if (!keyword) continue;
+    try {
+      if (grammar.parse(*keyword, line, count + 2) ==
+          tools::WorkloadLineParser::Line::kEnd) {
+        return;
+      }
+    } catch (const std::runtime_error& error) {
+      if (*keyword == "end" ||
+          blockCloses(lines, "end", kMaxPredictBlockLines - count - 1)) {
+        fail(std::string("PREDICT: ") + error.what());
+      }
       break;
     }
   }
-  if (!closed) {
-    fail(kErrBlockUnterminated,
-         "PREDICT: block not closed with 'end' within " +
-             std::to_string(kMaxPredictBlockLines) + " lines");
-  }
-  tools::WorkloadFile parsed;
-  try {
-    tools::WorkloadParser parser;
-    // The synthesized `task <name>` header is line 1 of the block, so
-    // workload-parser line numbers count the verb line.
-    parser.feedLine("task " + name);
-    for (const std::string_view line : block) parser.feedLine(line);
-    parsed = parser.finish();
-  } catch (const std::runtime_error& error) {
-    fail(std::string("PREDICT: ") + error.what());
-  }
-  request.task = std::move(parsed.tasks.at(0));
-  return request;
+  fail(kErrBlockUnterminated, "PREDICT: block not closed with 'end' within " +
+                                  std::to_string(kMaxPredictBlockLines) +
+                                  " lines");
 }
 
-Request parsePredictBatchView(TokenCursor& firstLine, LineCursor& lines) {
-  Request request;
-  request.verb = Verb::kPredictBatch;
+/// PREDICT_BATCH plus its `task ... end` blocks through `end_batch`, parsed
+/// in one pass into request.batch, reusing its slots. Line numbers count
+/// from the first block line. After the first bad line only the terminator
+/// is looked for; then errors rank: that line, an unclosed task, a
+/// competitor line, an empty batch.
+void parsePredictBatch(TokenCursor& firstLine, LineCursor& lines,
+                       Request& request) {
   rejectTrailing(firstLine, "PREDICT_BATCH");
-
-  // Collect everything up to `end_batch`; the payload is one or more full
-  // `task <name> ... end` blocks in workload syntax, so the whole batch goes
-  // through the workload-file parser in one pass.
-  std::vector<std::string_view> block;
+  tools::WorkloadLineParser grammar;
+  std::size_t tasks = 0;
+  bool competitor = false;
   bool closed = false;
+  std::optional<std::string> lineError;
   for (int count = 0; count < kMaxBatchBlockLines; ++count) {
     const auto raw = lines.next();
     if (!raw) break;
-    if (util::firstToken(*raw) == "end_batch") {
+    TokenCursor line(util::stripLineComment(*raw));
+    const auto keyword = line.next();
+    if (!keyword) continue;
+    if (*keyword == "end_batch") {
       closed = true;
       break;
     }
-    block.push_back(*raw);
+    if (lineError) continue;
+    try {
+      switch (grammar.parse(*keyword, line, count + 1)) {
+        case tools::WorkloadLineParser::Line::kCompetitor:
+          competitor = true;
+          break;
+        case tools::WorkloadLineParser::Line::kTask:
+          grammar.open(tasks < request.batch.size()
+                           ? request.batch[tasks]
+                           : request.batch.emplace_back(),
+                       grammar.taskName());
+          ++tasks;
+          break;
+        case tools::WorkloadLineParser::Line::kBody:
+        case tools::WorkloadLineParser::Line::kEnd:
+          break;
+      }
+    } catch (const std::runtime_error& error) {
+      lineError = error.what();
+    }
   }
   if (!closed) {
     fail(kErrBlockUnterminated,
          "PREDICT_BATCH: block not closed with 'end_batch' within " +
              std::to_string(kMaxBatchBlockLines) + " lines");
   }
-  tools::WorkloadFile parsed;
+  if (lineError) fail("PREDICT_BATCH: " + *lineError);
   try {
-    tools::WorkloadParser parser;
-    for (const std::string_view line : block) parser.feedLine(line);
-    parsed = parser.finish();
+    grammar.finish();
   } catch (const std::runtime_error& error) {
     fail(std::string("PREDICT_BATCH: ") + error.what());
   }
-  if (!parsed.competitors.empty()) {
+  if (competitor) {
     fail("PREDICT_BATCH: competitor lines are not allowed in a batch");
   }
-  if (parsed.tasks.empty()) {
+  if (tasks == 0) {
     fail(kErrEmptyBatch, "PREDICT_BATCH: batch contains no tasks");
   }
-  request.batch = std::move(parsed.tasks);
-  return request;
+  request.batch.resize(tasks);
 }
 
 }  // namespace
@@ -358,7 +384,7 @@ std::optional<Verb> verbFromName(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<Request> parseRequestText(std::string_view text) {
+bool parseRequestText(std::string_view text, Request& request) {
   LineCursor lines(text);
   while (const auto raw = lines.next()) {
     TokenCursor line(util::stripLineComment(*raw));
@@ -369,32 +395,53 @@ std::optional<Request> parseRequestText(std::string_view text) {
     if (!verb) {
       fail(kErrBadVerb, "unknown verb '" + std::string(*verbToken) + "'");
     }
+    // The scalar fields start from their defaults on every parse; the task
+    // storage keeps its capacity and is overwritten by the PREDICT parsers.
+    request.verb = *verb;
+    request.app = {};
+    request.applicationId = 0;
+    request.calibrate = CalibrateAction::kReport;
+    request.observation = {};
+    request.repl = ReplAction::kStatus;
+    request.replEpoch = 0;
+    request.replMax = kReplDefaultMaxFrames;
+    request.replOffset = 0;
     switch (*verb) {
       case Verb::kArrive:
-        return parseArrive(line);
+        parseArrive(line, request);
+        break;
       case Verb::kDepart:
-        return parseDepart(line);
+        parseDepart(line, request);
+        break;
       case Verb::kPredict:
-        return parsePredictView(line, lines);
+        parsePredict(line, lines, request);
+        break;
       case Verb::kPredictBatch:
-        return parsePredictBatchView(line, lines);
+        parsePredictBatch(line, lines, request);
+        break;
       case Verb::kCalibrate:
-        return parseCalibrate(line);
+        parseCalibrate(line, request);
+        break;
       case Verb::kRepl:
-        return parseRepl(line);
+        parseRepl(line, request);
+        break;
       case Verb::kSlowdown:
       case Verb::kStats:
       case Verb::kHealth:
       case Verb::kMetrics:
-      case Verb::kDrift: {
+      case Verb::kDrift:
         rejectTrailing(line, *verbToken);
-        Request request;
-        request.verb = *verb;
-        return request;
-      }
+        break;
     }
+    return true;
   }
-  return std::nullopt;
+  return false;
+}
+
+std::optional<Request> parseRequestText(std::string_view text) {
+  std::optional<Request> request(std::in_place);
+  if (!parseRequestText(text, *request)) request.reset();
+  return request;
 }
 
 std::string formatRequest(const Request& request) {
@@ -509,46 +556,82 @@ double Response::number(std::string_view key) const {
   return parsed;
 }
 
-std::string formatResponse(const Response& response) {
-  if (!response.ok) {
-    // `ERR <code> <message>` — the code is one machine-readable token, the
-    // message is free-form. A code was not always set historically, so an
-    // unset one degrades to the generic "error".
-    std::string line = "ERR ";
-    line += response.code.empty() ? std::string("error") : response.code;
-    line += ' ';
-    line += response.error.empty() ? "unspecified error" : response.error;
-    // The wire format is line-based; keep the whole reply on one line, and
-    // keep the code one token.
-    for (char& c : line) {
-      if (c == '\n' || c == '\r') c = ' ';
-    }
-    return line;
+void ReplyEncoder::openField(std::string_view key, std::size_t index) {
+  out_ += ' ';
+  out_ += key;
+  out_ += '.';
+  appendUint(out_, index);
+  out_ += '=';
+}
+
+void ReplyEncoder::add(std::string_view key, double value) {
+  openField(key);
+  appendDouble(out_, value);
+}
+
+void ReplyEncoder::add(std::string_view key, std::uint64_t value) {
+  openField(key);
+  appendUint(out_, value);
+}
+
+void ReplyEncoder::add(std::string_view key, std::size_t index,
+                       std::string_view value) {
+  openField(key, index);
+  out_ += value;
+}
+
+void ReplyEncoder::add(std::string_view key, std::size_t index,
+                       double value) {
+  openField(key, index);
+  appendDouble(out_, value);
+}
+
+void ReplyEncoder::add(std::string_view key, std::size_t index,
+                       std::uint64_t value) {
+  openField(key, index);
+  appendUint(out_, value);
+}
+
+void appendErrorLine(std::string& out, std::string_view code,
+                     std::string_view message) {
+  // `ERR <code> <message>` — the code is one machine-readable token, the
+  // message is free-form. A code was not always set historically, so an
+  // unset one degrades to the generic "error".
+  const std::size_t start = out.size();
+  out += "ERR ";
+  out += code.empty() ? std::string_view("error") : code;
+  out += ' ';
+  out += message.empty() ? std::string_view("unspecified error") : message;
+  // The wire format is line-based; keep the whole reply on one line, and
+  // keep the code one token.
+  for (std::size_t i = start; i < out.size(); ++i) {
+    if (out[i] == '\n' || out[i] == '\r') out[i] = ' ';
   }
-  // One pass with a precomputed size: this line is written verbatim to the
-  // socket, so avoid the quadratic-append and intermediate copies.
+  out += '\n';
+}
+
+std::string formatResponse(const Response& response) {
+  std::string out;
+  if (!response.ok) {
+    appendErrorLine(out, response.code, response.error);
+    out.pop_back();
+    return out;
+  }
+  // One pass with a precomputed size: no regrowth while encoding.
   std::size_t length = 2;
   for (const auto& [key, value] : response.fields) {
     length += 2 + key.size() + value.size();
   }
-  std::string out;
   out.reserve(length);
-  out += "OK";
-  for (const auto& [key, value] : response.fields) {
-    out += ' ';
-    out += key;
-    out += '=';
-    out += value;
-  }
+  ReplyEncoder encoder(out);
+  for (const auto& [key, value] : response.fields) encoder.add(key, value);
   return out;
 }
 
-std::string errorLine(std::string_view code, std::string message) {
-  Response response;
-  response.ok = false;
-  response.code = std::string(code);
-  response.error = std::move(message);
-  return formatResponse(response) + '\n';
+std::string errorLine(std::string_view code, std::string_view message) {
+  std::string out;
+  appendErrorLine(out, code, message);
+  return out;
 }
 
 Response parseResponse(const std::string& line) {
@@ -565,9 +648,9 @@ Response parseResponse(const std::string& line) {
       const auto codeEnd =
           static_cast<std::size_t>(codeToken->data() - line.data()) +
           codeToken->size();
-      const auto start = line.find_first_not_of(util::kTokenSpace, codeEnd);
-      response.error = start == std::string::npos ? response.code
-                                                  : line.substr(start);
+      const auto start = util::skipSpace(line, codeEnd);
+      response.error =
+          start == line.size() ? response.code : line.substr(start);
     }
     return response;
   }

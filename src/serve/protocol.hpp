@@ -35,8 +35,8 @@
 // Blank lines and `#` comments between requests are ignored (same convention
 // as workload files). Every response is a single line — except METRICS,
 // which answers with a multi-line Prometheus text exposition terminated by a
-// `# EOF` line (see docs/SERVING.md, "Observability"; the server bypasses
-// Response formatting for it and the client reads through the terminator).
+// `# EOF` line (see docs/SERVING.md, "Observability"; the server appends
+// the exposition verbatim and the client reads through the terminator).
 // All other responses are `OK key=value ...` or
 // `ERR <code> <message>`, where <code> is a stable machine-readable token
 // (see kErr* below) and the rest of the line is a human-readable message; a
@@ -156,15 +156,27 @@ struct Request {
 /// one framed request: the verb line plus, for PREDICT/PREDICT_BATCH, the
 /// whole block through its terminator line. Blank and comment lines before
 /// the verb are skipped, lines may end in "\r\n" or "\n", and no line is
-/// copied. nullopt when the text holds only blank or comment lines. Throws
-/// ProtocolError on malformed input, including an unterminated or oversized
-/// PREDICT/PREDICT_BATCH block.
+/// copied: each line is tokenized once, and a PREDICT block's keyword lines
+/// are parsed straight into `request.task` (PREDICT_BATCH: `request.batch`,
+/// whose size becomes the task count) through the `.workload` grammar.
+///
+/// `request` is caller-owned and meant to be reused across requests (one per
+/// connection): its task storage keeps its capacity, so a steady stream of
+/// same-shaped requests parses without allocating. Only the fields of the
+/// parsed verb are meaningful afterwards. Returns false when the text holds
+/// only blank or comment lines. Throws ProtocolError on malformed input,
+/// including an unterminated or oversized PREDICT/PREDICT_BATCH block.
+bool parseRequestText(std::string_view text, Request& request);
+
+/// The same parse into a fresh Request; nullopt for blank/comment-only text.
 [[nodiscard]] std::optional<Request> parseRequestText(std::string_view text);
 
 /// Serializes a request in wire format (always newline-terminated;
 /// round-trips through parseRequestText).
 [[nodiscard]] std::string formatRequest(const Request& request);
 
+/// A parsed reply line (client side and tests); the server encodes its
+/// replies with ReplyEncoder instead of building one of these.
 struct Response {
   bool ok = true;
   std::string code;   // machine-readable ERR code; set when !ok
@@ -181,12 +193,55 @@ struct Response {
   [[nodiscard]] double number(std::string_view key) const;
 };
 
+/// Appends one `OK key=value ...` reply line to a caller-owned buffer. The
+/// one reply encoder: the server writes every OK reply through it straight
+/// into a connection's output buffer, and formatResponse and Metrics::fill
+/// use it too, so values are spelled one way everywhere — doubles in
+/// shortest round-trip form, integers in decimal. Keys and values must be
+/// single tokens without '='/whitespace (the parser splits on them).
+class ReplyEncoder {
+ public:
+  /// Starts the line (`OK`) at the end of `out`.
+  explicit ReplyEncoder(std::string& out) : out_(out) { out_ += "OK"; }
+
+  void add(std::string_view key, std::string_view value) {
+    openField(key);
+    out_ += value;
+  }
+  void add(std::string_view key, double value);
+  void add(std::string_view key, std::uint64_t value);
+  /// Indexed field `key.index=value`, as PREDICT_BATCH, CALIBRATE and
+  /// REPL SINCE number their repeated fields.
+  void add(std::string_view key, std::size_t index, std::string_view value);
+  void add(std::string_view key, std::size_t index, double value);
+  void add(std::string_view key, std::size_t index, std::uint64_t value);
+
+  /// Ends the line with its '\n'.
+  void finish() { out_ += '\n'; }
+
+ private:
+  void openField(std::string_view key) {
+    out_ += ' ';
+    out_ += key;
+    out_ += '=';
+  }
+  void openField(std::string_view key, std::size_t index);
+
+  std::string& out_;
+};
+
+/// Appends `ERR <code> <message>` plus its newline to `out`, with any '\n'
+/// or '\r' in the code or message turned into spaces (an unset code reads
+/// "error", an unset message "unspecified error").
+void appendErrorLine(std::string& out, std::string_view code,
+                     std::string_view message);
+
 /// One line, no trailing newline: `OK k=v ...` or `ERR <code> message`.
 [[nodiscard]] std::string formatResponse(const Response& response);
 /// `ERR <code> <message>` plus its newline: the line an engine sends when it
 /// refuses a connection or ends one it cannot resynchronize.
 [[nodiscard]] std::string errorLine(std::string_view code,
-                                    std::string message);
+                                    std::string_view message);
 [[nodiscard]] Response parseResponse(const std::string& line);
 
 /// Cap on PREDICT block length, so a hostile client cannot grow a request

@@ -296,7 +296,11 @@ class ThreadsEngine final : public Engine {
   void serveConnection(int fd, std::uint64_t queueWaitUs) {
     FdLineReader reader(fd, kMaxRequestLineBytes);
     BufferedWriter writer(fd);
+    // Per-connection scratch reused by every request: the received line,
+    // the assembled request text and the parse target keep their capacity.
     std::string line;
+    std::string requestText;
+    Request request;
     // The queue wait belongs to the first request served on the connection;
     // later pipelined/keep-alive requests never sat in the accept queue.
     std::uint64_t pendingQueueWaitUs = queueWaitUs;
@@ -305,9 +309,9 @@ class ThreadsEngine final : public Engine {
     // Answers `ERR <code> <message>`, flushes, and drains the peer's
     // input; used for conditions the connection cannot be resynchronized
     // from, so the caller closes it.
-    const auto refuse = [&](std::string_view code, std::string message) {
+    const auto refuse = [&](std::string_view code, const std::string& message) {
       metrics_.countError();
-      writer.append(errorLine(code, std::move(message)));
+      appendErrorLine(writer.buffer(), code, message);
       if (writer.flush()) drainBeforeClose(fd, kLingerGrace);
     };
     // Terminal read results other than a plain close get a parting ERR so
@@ -329,15 +333,14 @@ class ThreadsEngine final : public Engine {
     // Reads a `PREDICT`/`PREDICT_BATCH` body through its terminator into
     // requestText; kClosed covers both a vanished peer and the line cap
     // running out before the terminator (neither can be resynchronized).
-    const auto collectBlock = [&](std::string& requestText,
-                                  std::string_view terminator,
+    const auto collectBlock = [&](std::string_view terminator,
                                   int maxLines) -> LineRead {
       for (int extra = 0; extra < maxLines; ++extra) {
         const LineRead status = reader.readLine(line);
         if (status != LineRead::kLine) return status;
         requestText += line;
         requestText += '\n';
-        if (util::firstToken(line) == terminator) return LineRead::kLine;
+        if (util::firstTokenIs(line, terminator)) return LineRead::kLine;
       }
       return LineRead::kClosed;
     };
@@ -357,30 +360,31 @@ class ThreadsEngine final : public Engine {
       }
       // Assemble one logical request: a single line, except PREDICT and
       // PREDICT_BATCH whose blocks run through their terminator lines.
-      std::string requestText = line;
-      requestText += '\n';
       const std::string_view verbToken = util::firstToken(line);
       if (verbToken.empty()) continue;  // blank / keep-alive noise
-      if (verbToken == "PREDICT" || verbToken == "PREDICT_BATCH") {
-        // collectBlock reuses `line`, invalidating views into it.
-        const std::string verb(verbToken);
-        const bool batch = verb == "PREDICT_BATCH";
-        const LineRead block =
-            collectBlock(requestText, batch ? "end_batch" : "end",
-                         batch ? kMaxBatchBlockLines : kMaxPredictBlockLines);
-        if (block == LineRead::kClosed) {
-          refuse(kErrBlockUnterminated,
-                 verb + ": block not closed with '" +
-                     (batch ? "end_batch" : "end") + "'");
+      const bool batch = verbToken == "PREDICT_BATCH";
+      const bool block = batch || verbToken == "PREDICT";
+      requestText.assign(line);
+      requestText += '\n';
+      if (block) {
+        const char* verb = batch ? "PREDICT_BATCH" : "PREDICT";
+        const char* terminator = batch ? "end_batch" : "end";
+        const LineRead status = collectBlock(
+            terminator, batch ? kMaxBatchBlockLines : kMaxPredictBlockLines);
+        if (status == LineRead::kClosed) {
+          refuse(kErrBlockUnterminated, std::string(verb) +
+                                            ": block not closed with '" +
+                                            terminator + "'");
           break;  // can't resync a half-read block; drop the connection
         }
-        if (block != LineRead::kLine) {
-          failRead(block, verb);
+        if (status != LineRead::kLine) {
+          failRead(status, verb);
           break;
         }
       }
 
-      writer.append(server_.answer(requestText, pendingQueueWaitUs));
+      server_.answer(requestText, request, writer.buffer(),
+                     pendingQueueWaitUs);
       pendingQueueWaitUs = 0;
     }
     // Anything still buffered was never delivered; account for it instead of
@@ -512,46 +516,43 @@ void Server::stop() {
   wait();
 }
 
-std::string Server::answer(std::string_view text,
-                           std::uint64_t queueWaitUs) {
+void Server::answer(std::string_view text, Request& request, std::string& out,
+                    std::uint64_t queueWaitUs) {
   const auto begin = std::chrono::steady_clock::now();
-  Response response;
-  // METRICS bypasses Response formatting: its answer is the multi-line
-  // Prometheus exposition, written verbatim through its `# EOF` line.
-  std::string reply;
-  std::optional<Verb> verb;
+  const std::size_t mark = out.size();
+  bool parsed = false;
+  // Any failure discards the partly encoded reply and answers one ERR line.
+  const auto refuse = [&](std::string_view code, std::string_view message) {
+    out.resize(mark);
+    appendErrorLine(out, code, message);
+    metrics_.countError();
+  };
   try {
-    const std::optional<Request> request = parseRequestText(text);
-    if (!request) return reply;  // comment-only text: no reply, no counters
-    verb = request->verb;
-    if (request->verb == Verb::kMetrics) {
-      reply = renderMetricsText();
+    if (!parseRequestText(text, request)) return;  // comment-only text
+    parsed = true;
+    if (request.verb == Verb::kMetrics) {
+      // METRICS answers with the multi-line Prometheus exposition, written
+      // verbatim through its `# EOF` line.
+      out += renderMetricsText();
     } else {
-      response = handle(*request);
+      ReplyEncoder reply(out);
+      handle(request, reply);
+      reply.finish();
     }
   } catch (const ProtocolError& error) {
-    response.ok = false;
-    response.code = error.code();
-    response.error = error.what();
+    refuse(error.code(), error.what());
   } catch (const std::invalid_argument& error) {
     // Semantic rejections from the tracker (unknown id, out-of-order event,
     // mix overflow): the request was well-formed, the state said no.
-    response.ok = false;
-    response.code = kErrInvalidArgument;
-    response.error = error.what();
+    refuse(kErrInvalidArgument, error.what());
   } catch (const std::exception& error) {
-    response.ok = false;
-    response.code = kErrInternal;
-    response.error = error.what();
+    refuse(kErrInternal, error.what());
   }
-  if (verb) metrics_.countRequest(*verb);
-  if (reply.empty()) {
-    if (!response.ok) metrics_.countError();
-    reply = formatResponse(response) + '\n';
-  }
-  if (!verb) return reply;
+  if (!parsed) return;
+  const Verb verb = request.verb;
+  metrics_.countRequest(verb);
   const auto elapsed = std::chrono::steady_clock::now() - begin;
-  metrics_.observeLatency(*verb, elapsed);
+  metrics_.observeLatency(verb, elapsed);
   const auto durationUs = static_cast<std::uint64_t>(std::max<std::int64_t>(
       0, std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
              .count()));
@@ -560,22 +561,20 @@ std::string Server::answer(std::string_view text,
     std::fprintf(stderr,
                  "contend-served: slow request verb=%s bytes=%zu "
                  "duration_us=%llu queue_wait_us=%llu\n",
-                 verbName(*verb), text.size(),
+                 verbName(verb), text.size(),
                  static_cast<unsigned long long>(durationUs),
                  static_cast<unsigned long long>(queueWaitUs));
   }
-  return reply;
 }
 
-Response Server::handle(const Request& request) {
-  Response response;
-  response.add("verb", std::string(verbName(request.verb)));
-  const auto addSnapshot = [&response](const SlowdownSnapshot& snapshot) {
-    response.add("epoch", snapshot.epoch);
-    response.add("p", static_cast<std::uint64_t>(snapshot.active));
-    response.add("comp", snapshot.comp);
-    response.add("comm", snapshot.comm);
-    response.add("io", snapshot.io);
+void Server::handle(const Request& request, ReplyEncoder& reply) {
+  reply.add("verb", verbName(request.verb));
+  const auto addSnapshot = [&reply](const SlowdownSnapshot& snapshot) {
+    reply.add("epoch", snapshot.epoch);
+    reply.add("p", static_cast<std::uint64_t>(snapshot.active));
+    reply.add("comp", snapshot.comp);
+    reply.add("comm", snapshot.comm);
+    reply.add("io", snapshot.io);
   };
   // Follower gating: mutations must go through the shard primary (the
   // replication stream is the only writer), and reads are refused once the
@@ -587,32 +586,26 @@ Response Server::handle(const Request& request) {
     switch (request.verb) {
       case Verb::kArrive:
       case Verb::kDepart:
-        response.ok = false;
-        response.code = kErrReadOnly;
-        response.error = "follower is read-only; send mutations to the "
-                         "shard primary";
-        return response;
+        throw ProtocolError(kErrReadOnly,
+                            "follower is read-only; send mutations to the "
+                            "shard primary");
       case Verb::kCalibrate:
         if (request.calibrate != CalibrateAction::kReport) {
-          response.ok = false;
-          response.code = kErrReadOnly;
-          response.error = "follower is read-only; calibrate via the shard "
-                           "primary";
-          return response;
+          throw ProtocolError(kErrReadOnly,
+                              "follower is read-only; calibrate via the "
+                              "shard primary");
         }
         break;
       case Verb::kPredict:
       case Verb::kPredictBatch:
       case Verb::kSlowdown:
         if (!config_.replication->caughtUp()) {
-          response.ok = false;
-          response.code = kErrNotCaughtUp;
-          response.error =
+          throw ProtocolError(
+              kErrNotCaughtUp,
               "follower lags " +
-              std::to_string(config_.replication->lagRecords()) +
-              " records behind the primary (threshold " +
-              std::to_string(config_.replication->maxLagRecords()) + ")";
-          return response;
+                  std::to_string(config_.replication->lagRecords()) +
+                  " records behind the primary (threshold " +
+                  std::to_string(config_.replication->maxLagRecords()) + ")");
         }
         break;
       default:
@@ -622,13 +615,13 @@ Response Server::handle(const Request& request) {
   switch (request.verb) {
     case Verb::kArrive: {
       const MutationResult result = tracker_.arrive(request.app);
-      response.add("id", result.id);
+      reply.add("id", result.id);
       addSnapshot(result.after);
       break;
     }
     case Verb::kDepart: {
       const MutationResult result = tracker_.depart(request.applicationId);
-      response.add("id", result.id);
+      reply.add("id", result.id);
       addSnapshot(result.after);
       break;
     }
@@ -637,13 +630,12 @@ Response Server::handle(const Request& request) {
       break;
     case Verb::kPredict: {
       const TaskPrediction prediction = tracker_.predict(request.task);
-      response.add("name", request.task.name);
-      response.add("epoch", prediction.epoch);
-      response.add("front", prediction.frontSec);
-      response.add("remote", prediction.remoteSec);
-      response.add("decision", std::string(prediction.offload ? "back-end"
-                                                              : "front-end"));
-      response.add("cache", std::string(prediction.cacheHit ? "hit" : "miss"));
+      reply.add("name", request.task.name);
+      reply.add("epoch", prediction.epoch);
+      reply.add("front", prediction.frontSec);
+      reply.add("remote", prediction.remoteSec);
+      reply.add("decision", prediction.offload ? "back-end" : "front-end");
+      reply.add("cache", prediction.cacheHit ? "hit" : "miss");
       break;
     }
     case Verb::kPredictBatch: {
@@ -653,26 +645,20 @@ Response Server::handle(const Request& request) {
         // The parser rejects empty batches, but predictions.front() below
         // must never become UB if a tracker refactor (or a future verb
         // reusing this path) returns nothing.
-        response.ok = false;
-        response.code = kErrEmptyBatch;
-        response.error = "PREDICT_BATCH: tracker returned no predictions";
-        break;
+        throw ProtocolError(kErrEmptyBatch,
+                            "PREDICT_BATCH: tracker returned no predictions");
       }
-      response.add("count", static_cast<std::uint64_t>(predictions.size()));
+      reply.add("count", static_cast<std::uint64_t>(predictions.size()));
       // The whole batch is evaluated against one mix snapshot, so a single
       // epoch field covers every task.
-      response.add("epoch", predictions.front().epoch);
+      reply.add("epoch", predictions.front().epoch);
       for (std::size_t i = 0; i < predictions.size(); ++i) {
-        const std::string suffix = '.' + std::to_string(i);
         const TaskPrediction& prediction = predictions[i];
-        response.add("name" + suffix, request.batch[i].name);
-        response.add("front" + suffix, prediction.frontSec);
-        response.add("remote" + suffix, prediction.remoteSec);
-        response.add("decision" + suffix,
-                     std::string(prediction.offload ? "back-end"
-                                                    : "front-end"));
-        response.add("cache" + suffix,
-                     std::string(prediction.cacheHit ? "hit" : "miss"));
+        reply.add("name", i, request.batch[i].name);
+        reply.add("front", i, prediction.frontSec);
+        reply.add("remote", i, prediction.remoteSec);
+        reply.add("decision", i, prediction.offload ? "back-end" : "front-end");
+        reply.add("cache", i, prediction.cacheHit ? "hit" : "miss");
       }
       break;
     }
@@ -684,38 +670,34 @@ Response Server::handle(const Request& request) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         startTime_)
               .count();
-      response.add("uptime_s", uptime);
-      response.add("epoch", snapshot.epoch);
-      response.add("p", static_cast<std::uint64_t>(snapshot.active));
-      response.add("recovered",
-                   static_cast<std::uint64_t>(config_.recovered ? 1 : 0));
-      response.add("engine", std::string(engineKindName(resolvedEngine_)));
-      response.add("backlog", static_cast<std::uint64_t>(config_.backlog));
+      reply.add("uptime_s", uptime);
+      reply.add("epoch", snapshot.epoch);
+      reply.add("p", static_cast<std::uint64_t>(snapshot.active));
+      reply.add("recovered",
+                static_cast<std::uint64_t>(config_.recovered ? 1 : 0));
+      reply.add("engine", engineKindName(resolvedEngine_));
+      reply.add("backlog", static_cast<std::uint64_t>(config_.backlog));
       if (config_.journal != nullptr) {
         const JournalStats journal = config_.journal->stats();
         // A journal that has ever failed an append is no longer a complete
         // record of the mix; report it degraded so supervisors alert instead
         // of trusting a silently lossy durability story.
-        response.add("journal", std::string(journal.appendErrors > 0
-                                                ? "degraded"
-                                                : "on"));
-        response.add("journal_lag_records", journal.lagRecords);
-        response.add("journal_append_errors", journal.appendErrors);
+        reply.add("journal", journal.appendErrors > 0 ? "degraded" : "on");
+        reply.add("journal_lag_records", journal.lagRecords);
+        reply.add("journal_append_errors", journal.appendErrors);
       } else {
-        response.add("journal", std::string("off"));
-        response.add("journal_lag_records", std::uint64_t{0});
-        response.add("journal_append_errors", std::uint64_t{0});
+        reply.add("journal", "off");
+        reply.add("journal_lag_records", std::uint64_t{0});
+        reply.add("journal_append_errors", std::uint64_t{0});
       }
       // Always present (0 / standalone when unclustered) so dashboards and
       // supervisors have a stable schema.
       if (config_.replication != nullptr) {
-        response.add("repl_role",
-                     std::string(replRoleName(config_.replication->role())));
-        response.add("repl_lag_records", config_.replication->lagRecords());
+        reply.add("repl_role", replRoleName(config_.replication->role()));
+        reply.add("repl_lag_records", config_.replication->lagRecords());
       } else {
-        response.add("repl_role",
-                     std::string(replRoleName(ReplRole::kStandalone)));
-        response.add("repl_lag_records", std::uint64_t{0});
+        reply.add("repl_role", replRoleName(ReplRole::kStandalone));
+        reply.add("repl_lag_records", std::uint64_t{0});
       }
       break;
     }
@@ -723,50 +705,46 @@ Response Server::handle(const Request& request) {
       switch (request.calibrate) {
         case CalibrateAction::kReport: {
           const CalibrationReportData report = tracker_.calibrationReport();
-          response.add("generation", tracker_.tableGeneration());
-          response.add("observations", report.observations);
-          response.add("observations_total", report.observationsTotal);
-          response.add("applies", report.applies);
-          response.add("cells", report.totalCells);
-          response.add("eligible", report.eligibleCells);
-          response.add("drift", report.driftScore);
-          response.add("status",
-                       std::string(report.drifting ? "drifting" : "ok"));
+          reply.add("generation", tracker_.tableGeneration());
+          reply.add("observations", report.observations);
+          reply.add("observations_total", report.observationsTotal);
+          reply.add("applies", report.applies);
+          reply.add("cells", report.totalCells);
+          reply.add("eligible", report.eligibleCells);
+          reply.add("drift", report.driftScore);
+          reply.add("status", report.drifting ? "drifting" : "ok");
           if (report.sinceApplySec >= 0.0) {
-            response.add("since_apply_s", report.sinceApplySec);
+            reply.add("since_apply_s", report.sinceApplySec);
           }
           // The worst cells, residual-sorted, as indexed fields; capped so a
           // long-lived estimator cannot grow the response without bound.
           const std::size_t top = std::min<std::size_t>(report.cells.size(),
                                                         16);
-          response.add("top", static_cast<std::uint64_t>(top));
+          reply.add("top", static_cast<std::uint64_t>(top));
           for (std::size_t i = 0; i < top; ++i) {
             const CalibrationCellReport& cell = report.cells[i];
-            const std::string suffix = '.' + std::to_string(i);
-            response.add("family" + suffix,
-                         std::string(observationFamilyName(cell.family)));
-            response.add("contenders" + suffix,
-                         static_cast<std::uint64_t>(cell.contenders));
-            response.add("bin" + suffix,
-                         static_cast<std::uint64_t>(cell.bin));
-            response.add("samples" + suffix, cell.samples);
-            response.add("mean" + suffix, cell.mean);
-            response.add("current" + suffix, cell.current);
-            response.add("residual" + suffix, cell.residual);
+            reply.add("family", i, observationFamilyName(cell.family));
+            reply.add("contenders", i,
+                      static_cast<std::uint64_t>(cell.contenders));
+            reply.add("bin", i, static_cast<std::uint64_t>(cell.bin));
+            reply.add("samples", i, cell.samples);
+            reply.add("mean", i, cell.mean);
+            reply.add("current", i, cell.current);
+            reply.add("residual", i, cell.residual);
           }
           break;
         }
         case CalibrateAction::kObserve: {
           tracker_.observeCalibration(request.observation);
-          response.add("action", std::string("observe"));
-          response.add("generation", tracker_.tableGeneration());
+          reply.add("action", "observe");
+          reply.add("generation", tracker_.tableGeneration());
           break;
         }
         case CalibrateAction::kApply: {
           const ConcurrentTracker::CalibrationApplyResult result =
               tracker_.applyCalibration();
-          response.add("action", std::string("apply"));
-          response.add("generation", result.generation);
+          reply.add("action", "apply");
+          reply.add("generation", result.generation);
           addSnapshot(result.after);
           break;
         }
@@ -774,114 +752,107 @@ Response Server::handle(const Request& request) {
       break;
     case Verb::kDrift: {
       const ConcurrentTracker::DriftResult drift = tracker_.drift();
-      response.add("status",
-                   std::string(drift.drifting ? "drifting" : "ok"));
-      response.add("score", drift.score);
-      response.add("threshold", drift.threshold);
-      response.add("eligible", drift.eligibleCells);
-      response.add("generation", drift.generation);
+      reply.add("status", drift.drifting ? "drifting" : "ok");
+      reply.add("score", drift.score);
+      reply.add("threshold", drift.threshold);
+      reply.add("eligible", drift.eligibleCells);
+      reply.add("generation", drift.generation);
       break;
     }
     case Verb::kMetrics:
-      // The engines answer METRICS with the exposition before ever calling
+      // answer() appends the METRICS exposition before ever calling
       // handle(); reaching this case means that wiring broke.
-      response.ok = false;
-      response.code = kErrInternal;
-      response.error = "METRICS is answered as an exposition, not a Response";
-      break;
+      throw ProtocolError(kErrInternal,
+                          "METRICS is answered as an exposition, not a "
+                          "Response");
     case Verb::kStats: {
       const TrackerStats stats = tracker_.stats();
-      response.add("epoch", stats.epoch);
-      response.add("signature", stats.signature);
-      response.add("p", static_cast<std::uint64_t>(stats.active));
-      response.add("table_generation", stats.tableGeneration);
-      response.add("engine", std::string(engineKindName(resolvedEngine_)));
-      response.add("backlog", static_cast<std::uint64_t>(config_.backlog));
-      response.add("arrivals", stats.arrivals);
-      response.add("departures", stats.departures);
-      response.add("cache_hits", stats.cacheHits);
-      response.add("cache_misses", stats.cacheMisses);
-      response.add("cache_evictions", stats.cacheEvictions);
-      response.add("cache_entries",
-                   static_cast<std::uint64_t>(stats.cacheEntries));
+      reply.add("epoch", stats.epoch);
+      reply.add("signature", stats.signature);
+      reply.add("p", static_cast<std::uint64_t>(stats.active));
+      reply.add("table_generation", stats.tableGeneration);
+      reply.add("engine", engineKindName(resolvedEngine_));
+      reply.add("backlog", static_cast<std::uint64_t>(config_.backlog));
+      reply.add("arrivals", stats.arrivals);
+      reply.add("departures", stats.departures);
+      reply.add("cache_hits", stats.cacheHits);
+      reply.add("cache_misses", stats.cacheMisses);
+      reply.add("cache_evictions", stats.cacheEvictions);
+      reply.add("cache_entries",
+                static_cast<std::uint64_t>(stats.cacheEntries));
       const std::uint64_t lookups = stats.cacheHits + stats.cacheMisses;
-      response.add("cache_hit_rate",
-                   lookups == 0 ? 0.0
-                                : static_cast<double>(stats.cacheHits) /
-                                      static_cast<double>(lookups));
-      response.add("cache_shards",
-                   static_cast<std::uint64_t>(stats.cacheShards.size()));
+      reply.add("cache_hit_rate",
+                lookups == 0 ? 0.0
+                             : static_cast<double>(stats.cacheHits) /
+                                   static_cast<double>(lookups));
+      reply.add("cache_shards",
+                static_cast<std::uint64_t>(stats.cacheShards.size()));
       for (std::size_t i = 0; i < stats.cacheShards.size(); ++i) {
         const PredictionCache::ShardStats& shard = stats.cacheShards[i];
         const std::string prefix = "shard" + std::to_string(i) + '_';
-        response.add(prefix + "hits", shard.hits);
-        response.add(prefix + "misses", shard.misses);
-        response.add(prefix + "evictions", shard.evictions);
-        response.add(prefix + "entries",
-                     static_cast<std::uint64_t>(shard.entries));
+        reply.add(prefix + "hits", shard.hits);
+        reply.add(prefix + "misses", shard.misses);
+        reply.add(prefix + "evictions", shard.evictions);
+        reply.add(prefix + "entries",
+                  static_cast<std::uint64_t>(shard.entries));
       }
       if (config_.journal != nullptr) {
         const JournalStats journal = config_.journal->stats();
-        response.add("journal_records", journal.records);
-        response.add("journal_bytes", journal.bytes);
-        response.add("journal_snapshots", journal.snapshots);
-        response.add("journal_fsyncs", journal.fsyncs);
-        response.add("journal_append_errors", journal.appendErrors);
-        response.add("journal_lag_records", journal.lagRecords);
+        reply.add("journal_records", journal.records);
+        reply.add("journal_bytes", journal.bytes);
+        reply.add("journal_snapshots", journal.snapshots);
+        reply.add("journal_fsyncs", journal.fsyncs);
+        reply.add("journal_append_errors", journal.appendErrors);
+        reply.add("journal_lag_records", journal.lagRecords);
       }
       if (config_.replication != nullptr) {
-        response.add("repl_role",
-                     std::string(replRoleName(config_.replication->role())));
-        response.add("repl_lag_records", config_.replication->lagRecords());
-        response.add("repl_acked_epoch", config_.replication->ackedEpoch());
+        reply.add("repl_role", replRoleName(config_.replication->role()));
+        reply.add("repl_lag_records", config_.replication->lagRecords());
+        reply.add("repl_acked_epoch", config_.replication->ackedEpoch());
       } else {
-        response.add("repl_role",
-                     std::string(replRoleName(ReplRole::kStandalone)));
-        response.add("repl_lag_records", std::uint64_t{0});
-        response.add("repl_acked_epoch", std::uint64_t{0});
+        reply.add("repl_role", replRoleName(ReplRole::kStandalone));
+        reply.add("repl_lag_records", std::uint64_t{0});
+        reply.add("repl_acked_epoch", std::uint64_t{0});
       }
-      metrics_.fill(response);
+      metrics_.fill(reply);
       break;
     }
     case Verb::kRepl:
-      handleRepl(request, response);
+      handleRepl(request, reply);
       break;
   }
-  return response;
 }
 
-void Server::handleRepl(const Request& request, Response& response) {
+void Server::handleRepl(const Request& request, ReplyEncoder& reply) {
   ReplicationState* repl = config_.replication;
   const ReplRole role =
       repl != nullptr ? repl->role() : ReplRole::kStandalone;
-  const auto refuse = [&response](std::string message) {
-    response.ok = false;
-    response.code = kErrInvalidArgument;
-    response.error = std::move(message);
+  const auto refuse = [](const std::string& message) {
+    throw ProtocolError(kErrInvalidArgument, message);
   };
   switch (request.repl) {
     case ReplAction::kHello: {
-      response.add("role", std::string(replRoleName(role)));
-      response.add("epoch", tracker_.slowdowns().epoch);
+      reply.add("role", replRoleName(role));
+      reply.add("epoch", tracker_.slowdowns().epoch);
       if (repl != nullptr) {
-        response.add("log_floor", repl->log().floorEpoch());
+        reply.add("log_floor", repl->log().floorEpoch());
       }
       break;
     }
     case ReplAction::kStatus: {
-      response.add("role", std::string(replRoleName(role)));
-      response.add("epoch", tracker_.slowdowns().epoch);
+      reply.add("role", replRoleName(role));
+      reply.add("epoch", tracker_.slowdowns().epoch);
       if (repl != nullptr) {
-        response.add("repl_lag_records", repl->lagRecords());
-        response.add("acked_epoch", repl->ackedEpoch());
-        response.add("threshold", repl->maxLagRecords());
-        response.add("caught_up",
-                     static_cast<std::uint64_t>(repl->caughtUp() ? 1 : 0));
+        reply.add("repl_lag_records", repl->lagRecords());
+        reply.add("acked_epoch", repl->ackedEpoch());
+        reply.add("threshold", repl->maxLagRecords());
+        reply.add("caught_up",
+                  static_cast<std::uint64_t>(repl->caughtUp() ? 1 : 0));
       } else {
-        response.add("repl_lag_records", std::uint64_t{0});
-        response.add("acked_epoch", std::uint64_t{0});
-        response.add("threshold", std::uint64_t{0});
-        response.add("caught_up", std::uint64_t{1});
+        reply.add("repl_lag_records", std::uint64_t{0});
+        reply.add("acked_epoch", std::uint64_t{0});
+        reply.add("threshold", std::uint64_t{0});
+        reply.add("caught_up", std::uint64_t{1});
       }
       break;
     }
@@ -892,16 +863,14 @@ void Server::handleRepl(const Request& request, Response& response) {
       }
       const ReplicationLog::Batch batch = repl->log().since(
           request.replEpoch, request.replMax, kReplSinceMaxBytes);
-      response.add("epoch", batch.headEpoch);
+      reply.add("epoch", batch.headEpoch);
       if (batch.snapshotNeeded) {
-        response.add("snapshot_needed", std::uint64_t{1});
+        reply.add("snapshot_needed", std::uint64_t{1});
         break;
       }
-      response.add("count",
-                   static_cast<std::uint64_t>(batch.frames.size()));
+      reply.add("count", static_cast<std::uint64_t>(batch.frames.size()));
       for (std::size_t i = 0; i < batch.frames.size(); ++i) {
-        response.add("frame." + std::to_string(i),
-                     encodeHex(batch.frames[i].second));
+        reply.add("frame", i, encodeHex(batch.frames[i].second));
       }
       break;
     }
@@ -911,7 +880,7 @@ void Server::handleRepl(const Request& request, Response& response) {
         return;
       }
       repl->noteAck(request.replEpoch);
-      response.add("acked", request.replEpoch);
+      reply.add("acked", request.replEpoch);
       break;
     }
     case ReplAction::kSnapshot: {
@@ -931,10 +900,10 @@ void Server::handleRepl(const Request& request, Response& response) {
           std::min(kReplSnapshotChunkBytes,
                    bytes.size() - static_cast<std::size_t>(
                                       request.replOffset));
-      response.add("epoch", image.epoch);
-      response.add("total", static_cast<std::uint64_t>(bytes.size()));
-      response.add("offset", request.replOffset);
-      response.add(
+      reply.add("epoch", image.epoch);
+      reply.add("total", static_cast<std::uint64_t>(bytes.size()));
+      reply.add("offset", request.replOffset);
+      reply.add(
           "chunk",
           encodeHex(std::string_view(bytes).substr(
               static_cast<std::size_t>(request.replOffset), length)));
@@ -947,8 +916,8 @@ void Server::handleRepl(const Request& request, Response& response) {
       }
       // Idempotent: promoting a primary (or standalone) is a no-op answer.
       if (repl->role() == ReplRole::kFollower) repl->promote();
-      response.add("role", std::string(replRoleName(repl->role())));
-      response.add("epoch", tracker_.slowdowns().epoch);
+      reply.add("role", replRoleName(repl->role()));
+      reply.add("epoch", tracker_.slowdowns().epoch);
       break;
     }
   }

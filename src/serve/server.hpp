@@ -13,14 +13,15 @@
 //  - EventEngine (--engine epoll, see event_engine.hpp): a small ring of
 //    event-loop threads runs a non-blocking edge-triggered epoll state
 //    machine — per-connection incremental parsing straight over recv
-//    buffers, iovec-coalesced pipelined writes with EAGAIN backpressure,
-//    and a timer wheel enforcing the same idle-timeout and slow-loris
-//    deadline guarantees. `--engine auto` prefers epoll.
+//    buffers, pipelined replies coalesced into one send with EAGAIN
+//    backpressure, and a timer wheel enforcing the same idle-timeout and
+//    slow-loris deadline guarantees. `--engine auto` prefers epoll.
 //
 // The engines own only framing, socket I/O, deadlines and refusals. Each
 // framed request goes through one shared step, Server::answer (parse with
-// parseRequestText, dispatch, encode, count), so both answer identical
-// verbs with identical ERR codes and feed the same Metrics.
+// parseRequestText into the connection's reusable Request, dispatch, encode
+// straight into the connection's output buffer, count), so both answer
+// identical verbs with identical ERR codes and feed the same Metrics.
 // `requestStop()` is async-signal safe in both (an atomic flag plus a
 // self-pipe write), which is what lets the daemon drain gracefully from a
 // SIGTERM handler: stop accepting, finish queued and in-flight
@@ -155,26 +156,31 @@ class Server {
   /// The engine actually serving (kAuto resolved); meaningful after start().
   [[nodiscard]] EngineKind engineKind() const { return resolvedEngine_; }
 
+  /// The per-request step both engines share; callable in process without
+  /// start(). `text` is one framed request (verb line plus any
+  /// PREDICT/PREDICT_BATCH block through its terminator), `request` the
+  /// connection's reusable parse target, and `queueWaitUs` how long the
+  /// request waited before service, for the slow-request log. Parses,
+  /// answers METRICS with the exposition or dispatches, maps exceptions to
+  /// ERR codes, counts the request and any error, records its latency and
+  /// logs it when slow. The reply is appended to `out`, the connection's
+  /// output buffer; comment-only text appends nothing and counts nothing.
+  void answer(std::string_view text, Request& request, std::string& out,
+              std::uint64_t queueWaitUs);
+
  private:
   // Both engines drive the same request dispatch and observability surface;
   // they differ only in how bytes move.
   friend class ThreadsEngine;
   friend class EventEngine;
 
-  /// The per-request step both engines share. `text` is one framed request
-  /// (verb line plus any PREDICT/PREDICT_BATCH block through its
-  /// terminator); `queueWaitUs` is how long it waited before service, for
-  /// the slow-request log. Parses, answers METRICS with the exposition or
-  /// calls handle(), maps exceptions to ERR codes, counts the request and
-  /// any error, records its latency and logs it when slow. Returns the
-  /// reply bytes, or an empty string for comment-only text (nothing sent,
-  /// nothing counted).
-  [[nodiscard]] std::string answer(std::string_view text,
-                                   std::uint64_t queueWaitUs);
-  [[nodiscard]] Response handle(const Request& request);
+  /// Encodes the OK reply to `request`; refusals (read-only follower,
+  /// lagging follower, REPL without replication) throw ProtocolError, which
+  /// answer() turns into the ERR line.
+  void handle(const Request& request, ReplyEncoder& reply);
   /// The REPL verb (handshake, frame streaming, snapshot chunks, ack,
   /// promote) — split out of handle() for readability.
-  void handleRepl(const Request& request, Response& response);
+  void handleRepl(const Request& request, ReplyEncoder& reply);
   /// One consistent read of counters/tracker/journal rendered as the
   /// Prometheus text exposition the METRICS verb answers with.
   [[nodiscard]] std::string renderMetricsText() const;

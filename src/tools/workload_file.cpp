@@ -1,7 +1,6 @@
 #include "tools/workload_file.hpp"
 
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -73,15 +72,13 @@ void parseIoPair(TokenCursor& cursor, int line, double& ioFraction,
 
 }  // namespace
 
-void WorkloadParser::feedLine(std::string_view raw) {
-  const int lineNo = ++lineNo_;
-  TokenCursor cursor(util::stripLineComment(raw));
-  const auto keywordToken = cursor.next();
-  if (!keywordToken) return;  // blank / comment-only
-  const std::string_view keyword = *keywordToken;
-
+WorkloadLineParser::Line WorkloadLineParser::parse(std::string_view keyword,
+                                                   TokenCursor& cursor,
+                                                   int lineNo) {
   if (keyword == "competitor") {
-    if (current_) fail(lineNo, "'competitor' not allowed inside a task");
+    if (task_ != nullptr) {
+      fail(lineNo, "'competitor' not allowed inside a task");
+    }
     model::CompetingApp app;
     const auto fraction = cursor.next();
     const auto words = cursor.next();
@@ -106,59 +103,93 @@ void WorkloadParser::feedLine(std::string_view raw) {
       }
       rejectTrailing(cursor, lineNo);
     }
-    workload_.competitors.push_back(app);
-  } else if (keyword == "task") {
-    if (current_) fail(lineNo, "nested 'task' (missing 'end'?)");
-    TaskSpec task;
+    competitor_ = app;
+    return Line::kCompetitor;
+  }
+  if (keyword == "task") {
+    if (task_ != nullptr) fail(lineNo, "nested 'task' (missing 'end'?)");
     const auto name = cursor.next();
     if (!name) fail(lineNo, "task needs a name");
-    task.name = std::string(*name);
-    current_ = std::move(task);
-    sawFront_ = sawBack_ = false;
-  } else if (keyword == "front" || keyword == "back") {
-    if (!current_) {
+    taskName_ = *name;
+    return Line::kTask;
+  }
+  if (keyword == "front" || keyword == "back") {
+    if (task_ == nullptr) {
       fail(lineNo, "'" + std::string(keyword) + "' outside a task");
     }
     const double seconds = parseSeconds(cursor, lineNo);
-    (keyword == "front" ? current_->frontEndSec : current_->backEndSec) =
-        seconds;
-    (keyword == "front" ? sawFront_ : sawBack_) = true;
-  } else if (keyword == "io") {
-    if (!current_) fail(lineNo, "'io' outside a task");
-    parseIoPair(cursor, lineNo, current_->ioFraction, current_->ioOps);
+    const bool front = keyword == "front";
+    (front ? task_->frontEndSec : task_->backEndSec) = seconds;
+    (front ? sawFront_ : sawBack_) = true;
+    return Line::kBody;
+  }
+  if (keyword == "io") {
+    if (task_ == nullptr) fail(lineNo, "'io' outside a task");
+    parseIoPair(cursor, lineNo, task_->ioFraction, task_->ioOps);
     rejectTrailing(cursor, lineNo);
-  } else if (keyword == "to_backend" || keyword == "from_backend") {
-    if (!current_) {
+    return Line::kBody;
+  }
+  if (keyword == "to_backend" || keyword == "from_backend") {
+    if (task_ == nullptr) {
       fail(lineNo, "'" + std::string(keyword) + "' outside a task");
     }
-    (keyword == "to_backend" ? current_->toBackend : current_->fromBackend)
+    (keyword == "to_backend" ? task_->toBackend : task_->fromBackend)
         .push_back(parseDataSet(cursor, lineNo));
-  } else if (keyword == "end") {
-    if (!current_) fail(lineNo, "'end' without 'task'");
+    return Line::kBody;
+  }
+  if (keyword == "end") {
+    if (task_ == nullptr) fail(lineNo, "'end' without 'task'");
     if (!sawFront_ || !sawBack_) {
-      fail(lineNo, "task '" + current_->name +
+      fail(lineNo, "task '" + task_->name +
                        "' needs both 'front' and 'back' costs");
     }
-    workload_.tasks.push_back(std::move(*current_));
-    current_.reset();
-  } else {
-    fail(lineNo, "unknown keyword '" + std::string(keyword) + "'");
+    task_ = nullptr;
+    return Line::kEnd;
   }
+  fail(lineNo, "unknown keyword '" + std::string(keyword) + "'");
 }
 
-WorkloadFile WorkloadParser::finish() {
-  if (current_) {
-    throw std::runtime_error("workload file: task '" + current_->name +
+void WorkloadLineParser::open(TaskSpec& slot, std::string_view name) {
+  slot.name.assign(name);
+  slot.frontEndSec = 0.0;
+  slot.backEndSec = 0.0;
+  slot.ioFraction = 0.0;
+  slot.ioOps = 0;
+  slot.toBackend.clear();
+  slot.fromBackend.clear();
+  task_ = &slot;
+  sawFront_ = sawBack_ = false;
+}
+
+void WorkloadLineParser::finish() const {
+  if (task_ != nullptr) {
+    throw std::runtime_error("workload file: task '" + task_->name +
                              "' not closed with 'end'");
   }
-  return std::move(workload_);
 }
 
 WorkloadFile parseWorkload(std::istream& in) {
-  WorkloadParser parser;
+  WorkloadFile workload;
+  WorkloadLineParser lines;
   std::string raw;
-  while (std::getline(in, raw)) parser.feedLine(raw);
-  return parser.finish();
+  for (int lineNo = 1; std::getline(in, raw); ++lineNo) {
+    TokenCursor cursor(util::stripLineComment(raw));
+    const auto keyword = cursor.next();
+    if (!keyword) continue;  // blank / comment-only
+    switch (lines.parse(*keyword, cursor, lineNo)) {
+      case WorkloadLineParser::Line::kCompetitor:
+        workload.competitors.push_back(lines.competitor());
+        break;
+      case WorkloadLineParser::Line::kTask:
+        lines.open(workload.tasks.emplace_back(), lines.taskName());
+        break;
+      case WorkloadLineParser::Line::kBody:
+      case WorkloadLineParser::Line::kEnd:
+        break;
+    }
+  }
+  lines.finish();
+  return workload;
 }
 
 WorkloadFile parseWorkloadFile(const std::string& path) {

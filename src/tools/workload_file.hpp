@@ -26,13 +26,13 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "model/comm_model.hpp"
 #include "model/mix.hpp"
+#include "util/tokens.hpp"
 
 namespace contend::tools {
 
@@ -53,28 +53,51 @@ struct WorkloadFile {
   std::vector<TaskSpec> tasks;
 };
 
-/// Incremental line-at-a-time form of the parser. parseWorkload(istream)
-/// below and the serve-side zero-copy request path (which tokenizes views
-/// straight over recv buffers, never materializing a stream) both drive this
-/// one core, so the line-numbered error messages are identical by
-/// construction across both entry points.
-class WorkloadParser {
+/// The keyword-line grammar of the format above, one line at a time. It is
+/// the only implementation of that grammar: parseWorkload below drives it,
+/// and so does the serve wire's PREDICT / PREDICT_BATCH block parser
+/// (serve/protocol.cpp), which tokenizes each received line once and fills
+/// caller-owned TaskSpec storage in place. Line-numbered error messages are
+/// therefore identical across `.workload` files and the wire.
+///
+/// Body lines (front, back, io, to_backend, from_backend) are applied to the
+/// open task directly; the caller acts on the lines that change structure.
+class WorkloadLineParser {
  public:
-  /// Feeds the next input line (no trailing newline). Lines are numbered
-  /// from 1 in the order fed. Throws std::runtime_error with a
-  /// "workload file, line N: ..." message on any syntax/semantic problem.
-  void feedLine(std::string_view raw);
+  enum class Line {
+    kCompetitor,  // `competitor ...`: the app is in competitor()
+    kTask,        // `task <name>`: the caller must open() a slot next
+    kBody,        // applied to the open task
+    kEnd,         // `end`: the open task is complete and closed
+  };
 
-  /// Final validation (e.g. a task never closed with 'end') and result
-  /// handoff; the parser is spent afterwards.
-  [[nodiscard]] WorkloadFile finish();
+  /// Parses one non-blank line whose first token `keyword` was already taken
+  /// from `rest` (comment-stripped), numbered `lineNo` for messages. Throws
+  /// std::runtime_error "workload file, line N: ..." on any syntax or
+  /// semantic problem.
+  Line parse(std::string_view keyword, util::TokenCursor& rest, int lineNo);
+
+  /// Opens `slot` as the task being filled, overwriting every field and
+  /// keeping the slot's string and vector capacity. `slot` must stay put
+  /// until the task's `end`.
+  void open(TaskSpec& slot, std::string_view name);
+
+  /// The name token of the last kTask line (a view into that line).
+  [[nodiscard]] std::string_view taskName() const { return taskName_; }
+  /// The app of the last kCompetitor line.
+  [[nodiscard]] const model::CompetingApp& competitor() const {
+    return competitor_;
+  }
+
+  /// Throws std::runtime_error when a task is still open (no `end`).
+  void finish() const;
 
  private:
-  WorkloadFile workload_;
-  std::optional<TaskSpec> current_;
+  TaskSpec* task_ = nullptr;
   bool sawFront_ = false;
   bool sawBack_ = false;
-  int lineNo_ = 0;
+  std::string_view taskName_;
+  model::CompetingApp competitor_;
 };
 
 /// Parses the format above. Throws std::runtime_error with a line-numbered

@@ -13,8 +13,6 @@ namespace contend::trace {
 
 namespace {
 
-constexpr std::string_view kSpace = util::kTokenSpace;
-
 /// A token with its absolute byte offset — the unit of error reporting.
 struct Token {
   std::string_view text;
@@ -66,10 +64,9 @@ class Parser {
       const std::string_view content = util::stripLineComment(raw);
       std::size_t cursor = 0;
       while (cursor < content.size()) {
-        const std::size_t begin = content.find_first_not_of(kSpace, cursor);
-        if (begin == std::string_view::npos) break;
-        std::size_t end = content.find_first_of(kSpace, begin);
-        if (end == std::string_view::npos) end = content.size();
+        const std::size_t begin = util::skipSpace(content, cursor);
+        if (begin == content.size()) break;
+        const std::size_t end = util::skipToken(content, begin);
         out.push_back(
             Token{content.substr(begin, end - begin), lineStart + begin});
         cursor = end;

@@ -221,8 +221,10 @@ TEST(MetricsSuite, FillKeepsStatsKeysAndAddsNewOnes) {
   metrics.countRequest(Verb::kPredict);
   metrics.observeLatency(Verb::kPredict, std::chrono::microseconds(25));
   metrics.countSlowRequest();
-  Response response;
-  metrics.fill(response);
+  std::string line;
+  ReplyEncoder reply(line);
+  metrics.fill(reply);
+  const Response response = parseResponse(line);
   // Back-compat keys from the ring era survive...
   for (const char* key : {"requests", "errors", "accepted", "rejected",
                           "queue_hwm", "lat_samples", "p50_us", "p99_us",

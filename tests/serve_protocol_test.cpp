@@ -140,7 +140,10 @@ TEST(Protocol, PredictDefaultsTaskName) {
 struct BadRequest {
   const char* name;
   const char* text;
-  std::string_view code = kErrParse;
+  std::string_view code;
+  // The full ERR message, pinned byte for byte: clients and operators read
+  // it, and the block parsers must keep the `.workload` line numbering.
+  const char* message;
 };
 
 // gtest prints a parameter that has no PrintTo as its raw bytes, pointers
@@ -153,51 +156,168 @@ void PrintTo(const BadRequest& request, std::ostream* os) {
 class ProtocolRejects : public ::testing::TestWithParam<BadRequest> {};
 
 TEST_P(ProtocolRejects, Throws) {
-  EXPECT_EQ(rejectionCode(GetParam().text), GetParam().code)
-      << GetParam().name;
+  const BadRequest& bad = GetParam();
+  try {
+    (void)parseRequestText(bad.text);
+    ADD_FAILURE() << bad.name << " was accepted";
+  } catch (const ProtocolError& error) {
+    EXPECT_EQ(error.code(), bad.code) << bad.name;
+    EXPECT_STREQ(error.what(), bad.message) << bad.name;
+  }
 }
 
+// Error precedence inside a block: an unterminated block beats any malformed
+// line; line errors come in line order; then an unclosed task; then a
+// competitor line in a batch; then an empty batch.
 INSTANTIATE_TEST_SUITE_P(
     Cases, ProtocolRejects,
     ::testing::Values(
-        BadRequest{"unknownVerb", "FROBNICATE\n", kErrBadVerb},
-        BadRequest{"lowercaseVerb", "arrive 0.5 100\n", kErrBadVerb},
-        BadRequest{"arriveMissingArgs", "ARRIVE 0.5\n"},
-        BadRequest{"arriveBadFraction", "ARRIVE 1.5 100\n"},
-        BadRequest{"arriveNegativeWords", "ARRIVE 0.5 -3\n"},
-        BadRequest{"arriveCommNeedsWords", "ARRIVE 0.5 0\n"},
-        BadRequest{"arriveTrailing", "ARRIVE 0.5 100 junk\n"},
-        BadRequest{"arriveNonNumeric", "ARRIVE half 100\n"},
-        BadRequest{"departMissingId", "DEPART\n"},
-        BadRequest{"departNegativeId", "DEPART -7\n"},
-        BadRequest{"departBadId", "DEPART seven\n"},
-        BadRequest{"departTrailing", "DEPART 7 junk\n"},
-        BadRequest{"slowdownTrailing", "SLOWDOWN now\n"},
-        BadRequest{"statsTrailing", "STATS verbose\n"},
-        BadRequest{"predictTrailing", "PREDICT a b\nfront 1\nback 1\nend\n"},
-        BadRequest{"predictUnclosed", "PREDICT a\nfront 1\nback 1\n",
-                   kErrBlockUnterminated},
-        BadRequest{"predictMissingCosts", "PREDICT a\nfront 1\nend\n"},
+        BadRequest{"unknownVerb",
+                   "FROBNICATE\n",
+                   kErrBadVerb,
+                   "unknown verb 'FROBNICATE'"},
+        BadRequest{"lowercaseVerb",
+                   "arrive 0.5 100\n",
+                   kErrBadVerb,
+                   "unknown verb 'arrive'"},
+        BadRequest{"arriveMissingArgs",
+                   "ARRIVE 0.5\n",
+                   kErrParse,
+                   "ARRIVE: expected '<commFraction> <messageWords>'"},
+        BadRequest{"arriveBadFraction",
+                   "ARRIVE 1.5 100\n",
+                   kErrParse,
+                   "ARRIVE: comm fraction outside [0, 1]"},
+        BadRequest{"arriveNegativeWords",
+                   "ARRIVE 0.5 -3\n",
+                   kErrParse,
+                   "ARRIVE: message words must be non-negative"},
+        BadRequest{"arriveCommNeedsWords",
+                   "ARRIVE 0.5 0\n",
+                   kErrParse,
+                   "ARRIVE: communicating application needs a message size"},
+        BadRequest{"arriveTrailing",
+                   "ARRIVE 0.5 100 junk\n",
+                   kErrParse,
+                   "ARRIVE: expected 'io <fraction> <ops>' after message "
+                   "words"},
+        BadRequest{"arriveNonNumeric",
+                   "ARRIVE half 100\n",
+                   kErrParse,
+                   "ARRIVE: expected '<commFraction> <messageWords>'"},
+        BadRequest{"departMissingId",
+                   "DEPART\n",
+                   kErrParse,
+                   "DEPART: expected '<applicationId>'"},
+        BadRequest{"departNegativeId",
+                   "DEPART -7\n",
+                   kErrParse,
+                   "DEPART: bad application id '-7'"},
+        BadRequest{"departBadId",
+                   "DEPART seven\n",
+                   kErrParse,
+                   "DEPART: bad application id 'seven'"},
+        BadRequest{"departTrailing",
+                   "DEPART 7 junk\n",
+                   kErrParse,
+                   "DEPART: trailing tokens: 'junk'"},
+        BadRequest{"slowdownTrailing",
+                   "SLOWDOWN now\n",
+                   kErrParse,
+                   "SLOWDOWN: trailing tokens: 'now'"},
+        BadRequest{"statsTrailing",
+                   "STATS verbose\n",
+                   kErrParse,
+                   "STATS: trailing tokens: 'verbose'"},
+        BadRequest{"predictTrailing",
+                   "PREDICT a b\nfront 1\nback 1\nend\n",
+                   kErrParse,
+                   "PREDICT: trailing tokens: 'b'"},
+        BadRequest{"predictUnclosed",
+                   "PREDICT a\nfront 1\nback 1\n",
+                   kErrBlockUnterminated,
+                   "PREDICT: block not closed with 'end' within 256 lines"},
+        BadRequest{"predictMissingCosts",
+                   "PREDICT a\nfront 1\nend\n",
+                   kErrParse,
+                   "PREDICT: workload file, line 3: task 'a' needs both "
+                   "'front' and 'back' costs"},
         BadRequest{"predictBadDataSet",
-                   "PREDICT a\nfront 1\nback 1\nto_backend 5 y 9\nend\n"},
+                   "PREDICT a\nfront 1\nback 1\nto_backend 5 y 9\nend\n",
+                   kErrParse,
+                   "PREDICT: workload file, line 4: expected '<messages> x "
+                   "<words>'"},
         BadRequest{"predictZeroMessages",
-                   "PREDICT a\nfront 1\nback 1\nto_backend 0 x 9\nend\n"},
+                   "PREDICT a\nfront 1\nback 1\nto_backend 0 x 9\nend\n",
+                   kErrParse,
+                   "PREDICT: workload file, line 4: message count must be "
+                   "positive and words non-negative"},
         BadRequest{"predictCompetitorInside",
-                   "PREDICT a\nfront 1\nback 1\ncompetitor 0.1 5\nend\n"},
+                   "PREDICT a\nfront 1\nback 1\ncompetitor 0.1 5\nend\n",
+                   kErrParse,
+                   "PREDICT: workload file, line 4: 'competitor' not allowed "
+                   "inside a task"},
         BadRequest{"predictNestedTask",
-                   "PREDICT a\nfront 1\nback 1\ntask b\nend\n"},
+                   "PREDICT a\nfront 1\nback 1\ntask b\nend\n",
+                   kErrParse,
+                   "PREDICT: workload file, line 4: nested 'task' (missing "
+                   "'end'?)"},
         BadRequest{"batchTrailing",
                    "PREDICT_BATCH now\ntask a\nfront 1\nback 1\nend\n"
-                   "end_batch\n"},
-        BadRequest{"batchEmpty", "PREDICT_BATCH\nend_batch\n", kErrEmptyBatch},
+                   "end_batch\n",
+                   kErrParse,
+                   "PREDICT_BATCH: trailing tokens: 'now'"},
+        BadRequest{"batchEmpty",
+                   "PREDICT_BATCH\nend_batch\n",
+                   kErrEmptyBatch,
+                   "PREDICT_BATCH: batch contains no tasks"},
         BadRequest{"batchUnclosed",
                    "PREDICT_BATCH\ntask a\nfront 1\nback 1\nend\n",
-                   kErrBlockUnterminated},
+                   kErrBlockUnterminated,
+                   "PREDICT_BATCH: block not closed with 'end_batch' within "
+                   "4096 lines"},
         BadRequest{"batchCompetitor",
-                   "PREDICT_BATCH\ncompetitor 0.1 5\ntask a\nfront 1\n"
-                   "back 1\nend\nend_batch\n"},
+                   "PREDICT_BATCH\ncompetitor 0.1 5\ntask a\nfront 1\nback 1\n"
+                   "end\nend_batch\n",
+                   kErrParse,
+                   "PREDICT_BATCH: competitor lines are not allowed in a "
+                   "batch"},
         BadRequest{"batchOpenTask",
-                   "PREDICT_BATCH\ntask a\nfront 1\nback 1\nend_batch\n"}),
+                   "PREDICT_BATCH\ntask a\nfront 1\nback 1\nend_batch\n",
+                   kErrParse,
+                   "PREDICT_BATCH: workload file: task 'a' not closed with "
+                   "'end'"},
+        BadRequest{"predictMalformedUnclosed",
+                   "PREDICT a\nfront x\nback 1\n",
+                   kErrBlockUnterminated,
+                   "PREDICT: block not closed with 'end' within 256 lines"},
+        BadRequest{"batchMalformedUnclosed",
+                   "PREDICT_BATCH\ntask a\nfront x\nback 1\nend\n",
+                   kErrBlockUnterminated,
+                   "PREDICT_BATCH: block not closed with 'end_batch' within "
+                   "4096 lines"},
+        BadRequest{"batchCompetitorOpenTask",
+                   "PREDICT_BATCH\ncompetitor 0.1 5\ntask a\nfront 1\nback 1\n"
+                   "end_batch\n",
+                   kErrParse,
+                   "PREDICT_BATCH: workload file: task 'a' not closed with "
+                   "'end'"},
+        BadRequest{"batchCompetitorOnly",
+                   "PREDICT_BATCH\ncompetitor 0.1 5\nend_batch\n",
+                   kErrParse,
+                   "PREDICT_BATCH: competitor lines are not allowed in a "
+                   "batch"},
+        BadRequest{"batchLineErrorsInOrder",
+                   "PREDICT_BATCH\ntask a\nfront 1\nback x\nbogus 1\nend\n"
+                   "end_batch\n",
+                   kErrParse,
+                   "PREDICT_BATCH: workload file, line 3: expected a "
+                   "non-negative duration in seconds"},
+        BadRequest{"predictLinesCountFromTheVerb",
+                   "\n# lead\nPREDICT a\n# c\nfront 1\nend # done\n",
+                   kErrParse,
+                   "PREDICT: workload file, line 4: task 'a' needs both "
+                   "'front' and 'back' costs"}),
     [](const auto& paramInfo) { return std::string(paramInfo.param.name); });
 
 TEST(Protocol, PredictBlockLengthIsBounded) {

@@ -3,8 +3,12 @@
 // concurrent clients, error surfacing, and graceful shutdown.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <cstring>
 
 #include <memory>
 #include <string>
@@ -14,6 +18,7 @@
 #include "serve/client.hpp"
 #include "serve/concurrent_tracker.hpp"
 #include "serve/metrics.hpp"
+#include "serve/net_util.hpp"
 #include "serve/prometheus.hpp"
 #include "serve/server.hpp"
 
@@ -42,6 +47,20 @@ std::string uniqueSocketPath(const char* tag) {
   static int counter = 0;
   return "/tmp/contend_serve_test_" + std::to_string(::getpid()) + "_" + tag +
          "_" + std::to_string(counter++) + ".sock";
+}
+
+/// A plain blocking connection to a unix endpoint; -1 on failure.
+int connectUnix(const Endpoint& endpoint) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, endpoint.path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 TEST(Endpoint, ParsesSpecs) {
@@ -473,6 +492,66 @@ TEST_P(ServerFixture, StatsReportSignature) {
   const Response after = client.stats();
   ASSERT_TRUE(after.ok);
   EXPECT_NE(*after.find("signature"), "0");
+  server_->stop();
+}
+
+// The exact reply bytes of the hot verbs, captured once and committed: the
+// differential suites compare parsed numbers, so only this pins field order,
+// number text and ERR wording. Each request goes out on one connection and
+// its reply is read through its newline, byte for byte.
+TEST_P(ServerFixture, HotVerbRepliesAreBytePinned) {
+  startUnix();
+  struct Exchange {
+    const char* request;
+    const char* reply;
+  };
+  const Exchange kExchanges[] = {
+      {"ARRIVE 0.3 800\n",
+       "OK verb=ARRIVE id=1 epoch=1 p=1 comp=1.8199999999999998 "
+       "comm=1.4100000000000001 io=1.07\n"},
+      {"ARRIVE 0.05 4000 io 0.2 10\n",
+       "OK verb=ARRIVE id=2 epoch=2 p=2 comp=2.5899999999999994 comm=1.795 "
+       "io=1.345\n"},
+      {"SLOWDOWN\n",
+       "OK verb=SLOWDOWN epoch=2 p=2 comp=2.5899999999999994 comm=1.795 "
+       "io=1.345\n"},
+      {"PREDICT solver\nfront 8.0\nback 1.5\nto_backend 512 x 512\n"
+       "from_backend 64 x 2048\nend\n",
+       "OK verb=PREDICT name=solver epoch=2 front=20.719999999999995 "
+       "remote=767.29008 decision=front-end cache=miss\n"},
+      {"PREDICT solver\nfront 8.0\nback 1.5\nto_backend 512 x 512\n"
+       "from_backend 64 x 2048\nend\n",
+       "OK verb=PREDICT name=solver epoch=2 front=20.719999999999995 "
+       "remote=767.29008 decision=front-end cache=hit\n"},
+      {"PREDICT_BATCH\ntask a\nfront 2.5\nback 0.25\nio 0.125 40\nend\n"
+       "task b\nfront 0.75\nback 3\nto_backend 10 x 100\n"
+       "from_backend 3 x 5000\nend\ntask c\nfront 12\nback 0.5\nend\n"
+       "end_batch\n",
+       "OK verb=PREDICT_BATCH count=3 epoch=2 name.0=a "
+       "front.0=6.085937499999998 remote.0=0.25 decision.0=back-end "
+       "cache.0=miss name.1=b front.1=1.9424999999999994 remote.1=38.47997 "
+       "decision.1=front-end cache.1=miss name.2=c front.2=31.07999999999999 "
+       "remote.2=0.5 decision.2=back-end cache.2=miss\n"},
+      {"DEPART 1\n",
+       "OK verb=DEPART id=1 epoch=3 p=1 comp=1.77 comm=1.385 io=1.275\n"},
+      {"SLOWDOWN\n",
+       "OK verb=SLOWDOWN epoch=3 p=1 comp=1.77 comm=1.385 io=1.275\n"},
+      {"ARRIVE 1.5 100\n", "ERR parse ARRIVE: comm fraction outside [0, 1]\n"},
+      {"FROBNICATE now\n", "ERR bad_verb unknown verb 'FROBNICATE'\n"},
+      {"DEPART 999\n",
+       "ERR invalid_argument OnlineContentionTracker: unknown application id "
+       "999\n"},
+  };
+  const int fd = connectUnix(config_.endpoint);
+  ASSERT_GE(fd, 0);
+  FdLineReader reader(fd, kMaxResponseLineBytes);
+  for (const Exchange& exchange : kExchanges) {
+    ASSERT_TRUE(sendAll(fd, exchange.request));
+    std::string line;
+    ASSERT_EQ(reader.readLine(line), LineRead::kLine) << exchange.request;
+    EXPECT_EQ(line + '\n', exchange.reply) << exchange.request;
+  }
+  ::close(fd);
   server_->stop();
 }
 

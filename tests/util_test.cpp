@@ -1,17 +1,25 @@
 // Unit tests for the util module: statistics, regression (including the
-// paper's exhaustive-threshold piecewise fit), RNG, tables, CSV.
+// paper's exhaustive-threshold piecewise fit), RNG, tables, CSV, and the
+// line tokenizer.
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/regression.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/tokens.hpp"
 #include "util/units.hpp"
 
 namespace contend {
@@ -255,6 +263,97 @@ TEST(Csv, RejectsWidthMismatch) {
   EXPECT_THROW(w.addRow({"1"}), std::invalid_argument);
   w.close();
   std::remove(path.c_str());
+}
+
+
+// --------------------------------------------------------------- tokens ---
+
+/// The tokenizer as it was written before the char-class loop: two searches
+/// of the whitespace set per token. util::TokenCursor must split every byte
+/// string exactly as this does.
+class SetSearchCursor {
+ public:
+  explicit SetSearchCursor(std::string_view text) : rest_(text) {}
+
+  std::optional<std::string_view> next() {
+    const auto begin = rest_.find_first_not_of(util::kTokenSpace);
+    if (begin == std::string_view::npos) {
+      rest_ = {};
+      return std::nullopt;
+    }
+    const auto end = rest_.find_first_of(util::kTokenSpace, begin);
+    const std::string_view token = rest_.substr(
+        begin, end == std::string_view::npos ? std::string_view::npos
+                                             : end - begin);
+    rest_ = end == std::string_view::npos ? std::string_view{}
+                                          : rest_.substr(end);
+    return token;
+  }
+
+  [[nodiscard]] bool exhausted() const {
+    return rest_.find_first_not_of(util::kTokenSpace) ==
+           std::string_view::npos;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// A seeded random byte string: half the bytes come from the ones the split
+/// hinges on (the whitespace set, '\n', '\0', '#', high bytes), half are
+/// uniform over all 256 values.
+std::string randomLine(std::mt19937& rng) {
+  static constexpr char kEdgeBytes[] = {' ',  '\t', '\v', '\f', '\r',
+                                        '\n', '\0', '#',  'a',  '7',
+                                        '\x80', '\xff'};
+  std::string line(rng() % 48, '\0');
+  for (char& c : line) {
+    c = rng() % 2 == 0 ? kEdgeBytes[rng() % sizeof(kEdgeBytes)]
+                       : static_cast<char>(rng() % 256);
+  }
+  return line;
+}
+
+TEST(Tokens, CursorMatchesTheSetSearchOnRandomBytes) {
+  std::mt19937 rng(20261020);
+  std::bitset<256> seen;
+  for (int round = 0; round < 20000; ++round) {
+    const std::string line = randomLine(rng);
+    for (const char c : line) seen.set(static_cast<unsigned char>(c));
+    util::TokenCursor cursor(line);
+    SetSearchCursor reference(line);
+    while (true) {
+      ASSERT_EQ(cursor.exhausted(), reference.exhausted()) << round;
+      const auto token = cursor.next();
+      const auto expected = reference.next();
+      ASSERT_EQ(token.has_value(), expected.has_value()) << round;
+      if (!token) break;
+      // Same bytes at the same place: both are views into `line`.
+      ASSERT_EQ(token->data(), expected->data()) << round;
+      ASSERT_EQ(token->size(), expected->size()) << round;
+    }
+    ASSERT_TRUE(cursor.exhausted());
+  }
+  EXPECT_TRUE(seen.all()) << seen.count() << " of 256 byte values drawn";
+}
+
+// The engines find a block's terminator with firstTokenIs; it must agree
+// with the full first-token split, comments included.
+TEST(Tokens, FirstTokenIsAgreesWithFirstToken) {
+  static constexpr std::string_view kPieces[] = {
+      "end", "end_batch", "endx", "#", " ", "\t", "\r", "\v", "x",
+      std::string_view("\0", 1)};
+  std::mt19937 rng(7);
+  for (int round = 0; round < 20000; ++round) {
+    std::string line;
+    for (std::uint32_t i = rng() % 6; i > 0; --i) {
+      line += kPieces[rng() % std::size(kPieces)];
+    }
+    for (const std::string_view word : {"end", "end_batch"}) {
+      EXPECT_EQ(util::firstTokenIs(line, word), util::firstToken(line) == word)
+          << '[' << line << "] " << word;
+    }
+  }
 }
 
 }  // namespace

@@ -37,6 +37,18 @@ using namespace contend;
 
 namespace {
 
+/// True when the first request in `text` is a well-formed METRICS, which
+/// the server answers with a multi-line exposition instead of one reply
+/// line. Malformed text goes out as is, for the server to answer `ERR`.
+bool isMetricsRequest(const std::string& text) {
+  try {
+    const auto request = serve::parseRequestText(text);
+    return request && request->verb == serve::Verb::kMetrics;
+  } catch (const serve::ProtocolError&) {
+    return false;
+  }
+}
+
 [[noreturn]] void usage() {
   std::cerr
       << "usage: contend_client <endpoint> <command> [args]\n"
@@ -242,6 +254,10 @@ int main(int argc, char** argv) {
     if (command == "raw" && argc == 4) {
       std::string text = argv[3];
       if (text.empty() || text.back() != '\n') text += '\n';
+      if (isMetricsRequest(text)) {
+        std::cout << client.metricsText();
+        return 0;
+      }
       return printResponse(client.raw(text));
     }
     usage();
