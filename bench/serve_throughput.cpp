@@ -30,13 +30,12 @@
 // exclusive with --scenario and --cluster.
 //
 // Usage: serve_throughput [--seconds S] [--warmup S] [--clients N]
-//                         [--workers N] [--engine threads|epoll|auto]
-//                         [--loop-threads N] [--write-ratio F] [--batch N]
+//                         [--workers N] [--loop-threads N]
+//                         [--write-ratio F] [--batch N]
 //                         [--scenario <file.scn>] [--min-rps R]
 //                         [--json <path>]
 //                         [--journal <path>] [--fsync always|interval|off]
 //                         [--nojournal-rps R] [--ring-rps R]
-//                         [--threads-rps R]
 // Exits non-zero when --min-rps is given and the measured rate is below it
 // (used as the acceptance gate). --json writes a machine-readable
 // BENCH_serve.json-style record so the perf trajectory is diffable across
@@ -46,10 +45,8 @@
 // mode); --nojournal-rps embeds the journal-less reference rate and the
 // relative overhead in the JSON record. --ring-rps embeds the rate measured
 // by the old sampled-latency-ring build and the relative overhead of the
-// per-verb histograms that replaced it (acceptance bar: < 2%). --engine
-// selects the serving core (worker pool vs epoll event loops; --loop-threads
-// sizes the latter) and --threads-rps embeds the worker-pool reference rate
-// plus the epoll speedup in the JSON record's epoll_baseline block.
+// per-verb histograms that replaced it (acceptance bar: < 2%).
+// --loop-threads sizes the server's event-loop ring.
 // `--cluster <topology>` boots every replica of the topology in-process
 // (followers replicating live), drives topology-aware ClusterClients
 // instead of single-socket clients, and reports aggregate + per-shard
@@ -131,9 +128,7 @@ struct BenchConfig {
   double warmup = 0.0;
   int clients = 8;
   int workers = 8;
-  serve::EngineKind engine = serve::EngineKind::kThreads;
   int loopThreads = 1;
-  double threadsRps = 0.0;
   double writeRatio = 0.0;
   int batch = 1;
   double minRps = 0.0;
@@ -246,7 +241,6 @@ struct BenchReplica {
     serve::ServerConfig serverConfig;
     serverConfig.endpoint = serve::parseEndpoint(endpointSpec);
     serverConfig.workers = config.workers;
-    serverConfig.engine = config.engine;
     serverConfig.loopThreads = config.loopThreads;
     serverConfig.queueCapacity = static_cast<std::size_t>(config.clients) * 4;
     serverConfig.replication = &repl;
@@ -422,8 +416,6 @@ int runClusterBench(const BenchConfig& config) {
   table.addRow({"shards", std::to_string(shards)});
   table.addRow({"clients", std::to_string(config.clients)});
   table.addRow({"workers/shard", std::to_string(config.workers)});
-  table.addRow({"engine",
-                std::string(serve::engineKindName(config.engine))});
   table.addRow({"write ratio", TextTable::num(config.writeRatio, 2)});
   table.addRow({"batch", std::to_string(config.batch)});
   table.addRow({"elapsed (s)", TextTable::num(elapsed, 3)});
@@ -447,8 +439,7 @@ int runClusterBench(const BenchConfig& config) {
           << "    \"shards\": " << shards << ",\n"
           << "    \"clients\": " << config.clients << ",\n"
           << "    \"workers\": " << config.workers << ",\n"
-          << "    \"engine\": \"" << serve::engineKindName(config.engine)
-          << "\",\n"
+          << "    \"engine\": \"epoll\",\n"
           << "    \"seconds\": " << jsonNumber(config.seconds) << ",\n"
           << "    \"warmup\": " << jsonNumber(config.warmup) << ",\n"
           << "    \"write_ratio\": " << jsonNumber(config.writeRatio) << ",\n"
@@ -494,8 +485,7 @@ void writeJson(const BenchConfig& config, double elapsed, std::uint64_t total,
       << "  \"config\": {\n"
       << "    \"clients\": " << config.clients << ",\n"
       << "    \"workers\": " << config.workers << ",\n"
-      << "    \"engine\": \"" << serve::engineKindName(config.engine)
-      << "\",\n"
+      << "    \"engine\": \"epoll\",\n"
       << "    \"loop_threads\": " << config.loopThreads << ",\n"
       << "    \"seconds\": " << jsonNumber(config.seconds) << ",\n"
       << "    \"warmup\": " << jsonNumber(config.warmup) << ",\n"
@@ -521,8 +511,7 @@ void writeJson(const BenchConfig& config, double elapsed, std::uint64_t total,
         << ",\n    \"p50_us\": " << *stats.find("p50_us")
         << ",\n    \"p90_us\": " << *stats.find("p90_us")
         << ",\n    \"p99_us\": " << *stats.find("p99_us")
-        << ",\n    \"p999_us\": " << *stats.find("p999_us")
-        << ",\n    \"queue_hwm\": " << *stats.find("queue_hwm");
+        << ",\n    \"p999_us\": " << *stats.find("p999_us");
     if (const std::string* epoch = stats.find("epoch")) {
       out << ",\n    \"epoch\": " << *epoch;
     }
@@ -543,14 +532,6 @@ void writeJson(const BenchConfig& config, double elapsed, std::uint64_t total,
         << "    \"overhead\": "
         << jsonNumber(1.0 - rps / config.nojournalRps) << "\n"
         << "  }";
-  }
-  if (config.threadsRps > 0.0) {
-    // The tentpole comparison: same traffic shape against the worker-pool
-    // core; speedup > 1 means the epoll core wins on this box.
-    out << ",\n  \"epoll_baseline\": {\n"
-        << "    \"threads_rps\": " << jsonNumber(config.threadsRps) << ",\n"
-        << "    \"speedup\": " << jsonNumber(rps / config.threadsRps)
-        << "\n  }";
   }
   if (config.ringRps > 0.0) {
     // overhead < 0.02 is the acceptance bar: the per-verb histograms must
@@ -574,16 +555,7 @@ int main(int argc, char** argv) {
     else if (flag == "--warmup") config.warmup = std::atof(value);
     else if (flag == "--clients") config.clients = std::atoi(value);
     else if (flag == "--workers") config.workers = std::atoi(value);
-    else if (flag == "--engine") {
-      const auto engine = serve::engineKindFromName(value);
-      if (!engine) {
-        std::cerr << "error: --engine expects threads|epoll|auto\n";
-        return 2;
-      }
-      config.engine = *engine;
-    }
     else if (flag == "--loop-threads") config.loopThreads = std::atoi(value);
-    else if (flag == "--threads-rps") config.threadsRps = std::atof(value);
     else if (flag == "--write-ratio") config.writeRatio = std::atof(value);
     else if (flag == "--batch") config.batch = std::atoi(value);
     else if (flag == "--min-rps") config.minRps = std::atof(value);
@@ -607,14 +579,14 @@ int main(int argc, char** argv) {
     else {
       std::cerr << "usage: serve_throughput [--seconds S] [--warmup S] "
                    "[--clients N] [--workers N] "
-                   "[--engine threads|epoll|auto] [--loop-threads N] "
+                   "[--loop-threads N] "
                    "[--write-ratio F] "
                    "[--batch N] [--scenario <file.scn>] "
                    "[--trace <file.trace>] "
                    "[--cluster <topology>] [--single-rps R] [--min-rps R] "
                    "[--baseline-rps R] [--json <path>] [--journal <path>] "
                    "[--fsync always|interval|off] [--nojournal-rps R] "
-                   "[--ring-rps R] [--threads-rps R]\n";
+                   "[--ring-rps R]\n";
       return 2;
     }
   }
@@ -672,7 +644,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig serverConfig;
   serverConfig.endpoint = serve::parseEndpoint("unix:" + socketPath);
   serverConfig.workers = config.workers;
-  serverConfig.engine = config.engine;
   serverConfig.loopThreads = config.loopThreads;
   serverConfig.queueCapacity = static_cast<std::size_t>(config.clients) * 4;
 
@@ -833,8 +804,6 @@ int main(int argc, char** argv) {
   TextTable table({"metric", "value"});
   table.addRow({"clients", std::to_string(config.clients)});
   table.addRow({"workers", std::to_string(config.workers)});
-  table.addRow({"engine",
-                std::string(serve::engineKindName(config.engine))});
   table.addRow({"loop threads", std::to_string(config.loopThreads)});
   table.addRow({"write ratio", TextTable::num(config.writeRatio, 2)});
   table.addRow({"batch", std::to_string(config.batch)});
@@ -854,7 +823,6 @@ int main(int argc, char** argv) {
     table.addRow({"p90 latency (us)", *stats.find("p90_us")});
     table.addRow({"p99 latency (us)", *stats.find("p99_us")});
     table.addRow({"p99.9 latency (us)", *stats.find("p999_us")});
-    table.addRow({"queue high-water", *stats.find("queue_hwm")});
   }
   printTable("contend-serve closed-loop throughput", table);
 

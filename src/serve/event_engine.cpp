@@ -1,6 +1,8 @@
 #include "serve/event_engine.hpp"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -40,14 +42,29 @@ constexpr std::size_t kWheelSlots = 256;
 constexpr auto kWheelTick = std::chrono::milliseconds(25);
 constexpr int kTickMs = 25;
 // Slow-reader backpressure: past the high water the connection stops
-// reading (no new requests accepted) until the peer drains us to the low
-// water, bounding per-connection memory instead of buffering without limit.
+// reading and stops answering requests it already read, until the peer
+// drains us to the low water. The reply backlog then stays within the high
+// water plus one reply, and the input within one receive-buffer drain.
 constexpr std::size_t kWriteHighWater = std::size_t{256} << 10;
 constexpr std::size_t kWriteLowWater = kWriteHighWater / 2;
 // Graceful-stop bound: connections that have not finished flushing this
 // long after the drain began are force-closed (their bytes counted
-// dropped), mirroring the threads engine's short post-stop grace.
+// dropped).
 constexpr auto kDrainGrace = std::chrono::milliseconds(500);
+
+/// Socket options every accepted connection gets: TCP_NODELAY on tcp
+/// sockets (small pipelined request/response lines must not sit out
+/// Nagle/delayed-ACK stalls) and the optional SO_SNDBUF shrink.
+void applyAcceptedSocketOptions(int fd, const ServerConfig& config) {
+  if (config.endpoint.kind == Endpoint::Kind::kTcp) {
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  if (config.sendBufBytes > 0) {
+    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config.sendBufBytes,
+                       sizeof(config.sendBufBytes));
+  }
+}
 
 }  // namespace
 
@@ -87,8 +104,8 @@ struct EventEngine::ConnState {
   bool deadlineArmed = false;
   int wheelEntries = 0;
 
-  // accept→register delay, reported (like the threads engine's queue wait)
-  // against the first request only.
+  // accept→register delay, reported as the queue wait of the first request
+  // only; later requests never waited for the hand-off.
   std::uint64_t pendingQueueWaitUs = 0;
 
   // The parse target Server::answer reuses for every request.
@@ -289,9 +306,8 @@ void EventEngine::handleAccept(Loop& loop) {
     loop.acceptBackoffMs = 0;
     metrics_.countAccepted();
     applyAcceptedSocketOptions(fd, config_);
-    // Same admission bound as the threads engine (workers serving + queue
-    // slots), same one-line refusal. fetch_add-then-check keeps the cap
-    // exact without a lock.
+    // Admission cap (workers + queue slots) with a one-line refusal.
+    // fetch_add-then-check keeps the cap exact without a lock.
     if (liveConnections_.fetch_add(1, std::memory_order_relaxed) + 1 >
         admissionCap_) {
       liveConnections_.fetch_sub(1, std::memory_order_relaxed);
@@ -371,14 +387,18 @@ void EventEngine::handleConnEvent(Loop& loop, int fd, std::uint32_t events) {
     closeConnection(loop, fd);
     return;
   }
+  const bool wasPaused = conn.readPaused;
   if ((events & EPOLLOUT) != 0) {
     if (!flushOut(loop, conn)) return;
   }
-  // EPOLLHUP still goes through the read path: the peer may have closed
-  // right after sending requests, and (matching the threads engine) those
-  // buffered requests are served before the EOF ends the connection.
-  if ((events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0 && !conn.readPaused &&
-      !conn.closeAfterFlush) {
+  // A flush that lifted the read pause must also serve the requests
+  // buffered before it: no new edge reports bytes already read. EPOLLHUP
+  // still goes through the read path: the peer may have closed right after
+  // sending requests, and those buffered requests are served before the
+  // EOF ends the connection.
+  const bool resumed = wasPaused && !conn.readPaused;
+  if ((resumed || (events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0) &&
+      !conn.readPaused && !conn.closeAfterFlush) {
     if (!readAndProcess(loop, conn)) return;
   }
 }
@@ -410,12 +430,23 @@ bool EventEngine::readAndProcess(Loop& loop, ConnState& conn) {
   }
   const auto now = Clock::now();
   if (gotData && config_.requestTimeoutMs > 0) {
-    // The idle receive timeout restarts at every arrival, exactly like
-    // SO_RCVTIMEO restarting per recv in the threads engine.
+    // The idle receive timeout restarts at every arrival.
     conn.idleArmed = true;
     conn.idleDeadline = now + std::chrono::milliseconds(config_.requestTimeoutMs);
   }
-  if (!processBuffered(loop, conn)) return false;
+  while (true) {
+    if (!processBuffered(loop, conn)) return false;
+    if (!conn.readPaused) break;
+    // Over the write high-water mark framing stops, so one pipelined burst
+    // cannot grow the reply backlog without bound. A flush that brings the
+    // backlog under the low-water mark lifts the pause and the requests
+    // still buffered are served now; otherwise EPOLLOUT resumes them.
+    if (!flushOut(loop, conn)) return false;
+    if (conn.readPaused) {
+      armTimer(loop, conn);
+      return true;
+    }
+  }
   if (config_.requestDeadlineMs > 0) {
     // The request window arms only when a partial request lingers after
     // processing — a complete-requests-only burst (the fast path) never
@@ -431,13 +462,7 @@ bool EventEngine::readAndProcess(Loop& loop, ConnState& conn) {
     }
   }
   if (conn.peerEof) {
-    if (conn.inBlock) {
-      const char* verb = conn.batchBlock ? "PREDICT_BATCH" : "PREDICT";
-      const char* terminator = conn.batchBlock ? "end_batch" : "end";
-      return refuseAndClose(loop, conn, kErrBlockUnterminated,
-                            std::string(verb) + ": block not closed with '" +
-                                terminator + "'");
-    }
+    if (conn.inBlock) return refuseOpenBlock(loop, conn);
     // Clean EOF (or EOF mid-line): deliver what is queued, close silently.
     conn.closeAfterFlush = true;
     return flushOut(loop, conn);
@@ -452,14 +477,14 @@ bool EventEngine::processBuffered(Loop& loop, ConnState& conn) {
     return conn.inBlock ? (conn.batchBlock ? "PREDICT_BATCH" : "PREDICT")
                         : "request";
   };
-  while (true) {
+  while (!conn.readPaused) {
     const std::size_t size = conn.in.size();
     if (conn.scan >= size) break;
     const char* base = conn.in.data();
     const void* found = std::memchr(base + conn.scan, '\n', size - conn.scan);
     if (found == nullptr) {
       conn.scan = size;
-      // Same cap FdLineReader enforces while buffering an unterminated line.
+      // An unterminated tail may not grow past the line cap.
       if (size - conn.lineStart >= kMaxRequestLineBytes) {
         metrics_.countLineOverflow();
         (void)refuseAndClose(loop, conn, kErrLineTooLong,
@@ -512,10 +537,7 @@ bool EventEngine::processBuffered(Loop& loop, ConnState& conn) {
                                          next - conn.requestStart));
         conn.requestStart = next;
       } else if (conn.blockLines >= maxLines) {
-        const char* verb = conn.batchBlock ? "PREDICT_BATCH" : "PREDICT";
-        (void)refuseAndClose(loop, conn, kErrBlockUnterminated,
-                             std::string(verb) + ": block not closed with '" +
-                                 terminator + "'");
+        (void)refuseOpenBlock(loop, conn);
         return false;
       }
     }
@@ -618,6 +640,14 @@ bool EventEngine::refuseAndClose(Loop& loop, ConnState& conn,
   return true;
 }
 
+bool EventEngine::refuseOpenBlock(Loop& loop, ConnState& conn) {
+  const char* verb = conn.batchBlock ? "PREDICT_BATCH" : "PREDICT";
+  const char* terminator = conn.batchBlock ? "end_batch" : "end";
+  return refuseAndClose(loop, conn, kErrBlockUnterminated,
+                        std::string(verb) + ": block not closed with '" +
+                            terminator + "'");
+}
+
 bool EventEngine::linger(Loop& loop, ConnState& conn) {
   conn.closeAfterFlush = false;
   conn.lingering = true;
@@ -715,8 +745,7 @@ void EventEngine::fireTimer(Loop& loop, int fd, std::uint64_t gen) {
   const auto now = Clock::now();
   if (conn.deadlineArmed && now >= conn.requestDeadline) {
     // Slow loris: the request window expired with the request still
-    // incomplete. Same ERR (code, message, context) the threads engine's
-    // FdLineReader deadline produces.
+    // incomplete.
     metrics_.countDeadlineExpired();
     const char* context =
         conn.inBlock ? (conn.batchBlock ? "PREDICT_BATCH" : "PREDICT")
@@ -726,8 +755,14 @@ void EventEngine::fireTimer(Loop& loop, int fd, std::uint64_t gen) {
     return;
   }
   if (conn.idleArmed && now >= conn.idleDeadline) {
-    // Idle receive timeout (SO_RCVTIMEO's analog): flush and close silently.
-    if (flushOut(loop, conn)) closeConnection(loop, fd);
+    // Idle receive timeout. A block the peer left open is refused as
+    // unterminated, as at EOF; anything else is flushed and closed
+    // silently.
+    if (conn.inBlock && !conn.closeAfterFlush && !conn.lingering) {
+      (void)refuseOpenBlock(loop, conn);
+    } else if (flushOut(loop, conn)) {
+      closeConnection(loop, fd);
+    }
     return;
   }
   armTimer(loop, conn);  // deadline moved on; re-insert at the new earliest

@@ -1,4 +1,4 @@
-// event_engine.hpp — the epoll serving core (--engine epoll).
+// event_engine.hpp — the daemon's serving core.
 //
 // A small ring of event-loop threads runs a non-blocking, edge-triggered
 // epoll state machine. Each connection lives on exactly one loop for its
@@ -11,24 +11,23 @@
 //    daemon endpoint use.)
 //  - Reads are edge-triggered and drained to EAGAIN into a per-connection
 //    buffer; requests are framed in place over that buffer and each framed
-//    view goes to Server::answer, the parse-dispatch-encode step the threads
-//    engine shares — no per-line copies, no thread handoff.
+//    view goes to Server::answer, the parse-dispatch-encode step — no
+//    per-line copies, no thread handoff.
 //  - Replies are encoded straight into one output buffer per connection and
 //    leave via one send, so a pipelined burst is answered with one syscall.
 //    EAGAIN arms EPOLLOUT and resumes exactly where the partial write
-//    stopped; a 256 KiB write backlog pauses reads on that connection until
-//    the peer drains to half that (slow-reader backpressure).
+//    stopped; a 256 KiB write backlog pauses reads, and the answering of
+//    requests already read, on that connection until the peer drains to
+//    half that (slow-reader backpressure).
 //  - A 256-slot × 25 ms timer wheel enforces the idle receive timeout and
-//    the per-request slow-loris deadline that the threads engine gets from
-//    SO_RCVTIMEO + FdLineReader's request window. Entries are (fd,
-//    generation) pairs checked lazily, so extending a deadline never has to
-//    find and remove a wheel entry.
-//
-// Protocol semantics — verbs, ERR codes and messages, line/block caps,
-// overload refusal, drain behavior — match ThreadsEngine exactly (the
-// answer step and the ERR line helper are shared; framing, deadlines and
-// refusal mechanics are this file's own). The differential suite runs the
-// same schedule against both engines and expects bit-identical responses.
+//    the per-request slow-loris deadline. Entries are (fd, generation)
+//    pairs checked lazily, so extending a deadline never has to find and
+//    remove a wheel entry.
+//  - Connections that cannot be resynchronized (over-long line, open block
+//    at EOF or past its line cap, expired deadline) get one `ERR` line and a
+//    lingering close; connections over the admission cap get `ERR
+//    overloaded`. A graceful stop closes the listen socket, serves what was
+//    already received and force-closes stragglers after a short grace.
 #pragma once
 
 #include <atomic>
@@ -43,14 +42,17 @@
 
 namespace contend::serve {
 
-class EventEngine final : public Engine {
+class EventEngine {
  public:
   explicit EventEngine(Server& server);
-  ~EventEngine() override;
+  ~EventEngine();
 
-  void start() override;
-  void requestStop() override;
-  void wait() override;
+  /// Spawns the loop threads. Throws std::runtime_error on failure.
+  void start();
+  /// Async-signal-safe shutdown trigger.
+  void requestStop();
+  /// Blocks until every loop thread has drained and joined.
+  void wait();
 
  private:
   struct ConnState;
@@ -77,9 +79,13 @@ class EventEngine final : public Engine {
   [[nodiscard]] bool refuseAndClose(Loop& loop, ConnState& conn,
                                     std::string_view code,
                                     const std::string& message);
-  /// Lingering close, the non-blocking twin of drainBeforeClose: half-closes
-  /// the write side so the peer reads EOF after the last reply, discards
-  /// input until the peer's EOF or kLingerGrace, and only then closes.
+  /// refuseAndClose with `ERR block_unterminated` naming the open block's
+  /// verb and terminator.
+  [[nodiscard]] bool refuseOpenBlock(Loop& loop, ConnState& conn);
+  /// Lingering close: half-closes the write side so the peer reads EOF
+  /// after the last reply, discards input until the peer's EOF or
+  /// kLingerGrace, and only then closes. Closing with unread input would
+  /// reset the connection, and a TCP peer could lose the parting reply.
   /// Returns false: the caller must not touch the connection again.
   [[nodiscard]] bool linger(Loop& loop, ConnState& conn);
   /// Reads and drops everything the lingering peer sent; closes on EOF or
@@ -103,9 +109,8 @@ class EventEngine final : public Engine {
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<bool> stopping_{false};
 
-  // Admission control: workers + queueCapacity concurrent connections, the
-  // same bound the threads engine enforces (workers serving + queue slots),
-  // refused with the same one-line ERR overloaded.
+  // Admission control: at most workers + queueCapacity live connections;
+  // one more is refused with a one-line ERR overloaded.
   std::atomic<std::int64_t> liveConnections_{0};
   std::int64_t admissionCap_ = 0;
 

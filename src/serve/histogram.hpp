@@ -190,9 +190,9 @@ class LatencyHistogram {
   }
 
   /// Threads are dealt shards round-robin from a process-wide counter: the
-  /// server's fixed worker pool lands each worker on its own shard (no
-  /// write sharing at all up to kShardCount workers), and any thread count
-  /// degrades to an even spread rather than a hash-collision hotspot.
+  /// server's event loops each land on their own shard (no write sharing
+  /// at all up to kShardCount loops), and any thread count degrades to an
+  /// even spread rather than a hash-collision hotspot.
   [[nodiscard]] static std::size_t shardIndex() {
     static std::atomic<std::size_t> nextSlot{0};
     thread_local const std::size_t slot =

@@ -1,6 +1,5 @@
 #include "serve/net_util.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -28,28 +27,6 @@ ssize_t recvOrHook(int fd, void* data, std::size_t size) {
 
 }  // namespace
 
-void drainBeforeClose(int fd, std::chrono::milliseconds grace) {
-  (void)::shutdown(fd, SHUT_WR);
-  const auto deadline = std::chrono::steady_clock::now() + grace;
-  char sink[16 << 10];
-  while (true) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left <= 0) return;
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(left));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) return;
-    const ssize_t n = ::recv(fd, sink, sizeof(sink), MSG_DONTWAIT);
-    if (n > 0 || (n < 0 && (errno == EINTR || errno == EAGAIN ||
-                            errno == EWOULDBLOCK))) {
-      continue;
-    }
-    return;  // the peer's EOF, or it is gone
-  }
-}
-
 bool sendAll(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n = sendOrHook(fd, data.data(), data.size());
@@ -59,13 +36,6 @@ bool sendAll(int fd, std::string_view data) {
     }
     data.remove_prefix(static_cast<std::size_t>(n));
   }
-  return true;
-}
-
-bool BufferedWriter::flush() {
-  if (buffer_.empty()) return true;
-  if (!sendAll(fd_, buffer_)) return false;
-  buffer_.clear();
   return true;
 }
 
@@ -85,26 +55,10 @@ LineRead FdLineReader::readLine(std::string& line) {
       return LineRead::kLine;
     }
     if (buffer_.size() - pos_ >= maxLineBytes_) return LineRead::kTooLong;
-    if (armed_ && std::chrono::steady_clock::now() >= deadline_) {
-      return LineRead::kDeadline;
-    }
     char chunk[4096];
     const ssize_t n = recvOrHook(fd_, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
-    // EOF, error, or SO_RCVTIMEO expiry. A timeout while a deadline is
-    // armed still reports the deadline only once it has actually passed —
-    // the idle receive timeout keeps its own (usually shorter) meaning.
-    if (n <= 0) {
-      if (armed_ && (errno == EAGAIN || errno == EWOULDBLOCK) && n < 0 &&
-          std::chrono::steady_clock::now() >= deadline_) {
-        return LineRead::kDeadline;
-      }
-      return LineRead::kClosed;
-    }
-    if (!armed_ && budget_.count() > 0) {
-      armed_ = true;
-      deadline_ = std::chrono::steady_clock::now() + budget_;
-    }
+    if (n <= 0) return LineRead::kClosed;  // EOF, error, or SO_RCVTIMEO
     buffer_.append(chunk, static_cast<std::size_t>(n));
     peak_ = std::max(peak_, buffer_.size() - pos_);
   }

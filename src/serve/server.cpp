@@ -1,33 +1,23 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "serve/event_engine.hpp"
-#include "serve/net_util.hpp"
 #include "serve/prometheus.hpp"
 #include "serve/replication.hpp"
-#include "util/tokens.hpp"
 
 namespace contend::serve {
 
@@ -35,14 +25,6 @@ namespace {
 
 [[noreturn]] void throwErrno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-void setRecvTimeout(int fd, int timeoutMs) {
-  if (timeoutMs <= 0) return;
-  timeval tv{};
-  tv.tv_sec = timeoutMs / 1000;
-  tv.tv_usec = (timeoutMs % 1000) * 1000;
-  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 /// True when the unix socket at `path` is stale: a file exists but nothing
@@ -107,311 +89,6 @@ std::string endpointToString(const Endpoint& endpoint) {
   if (endpoint.kind == Endpoint::Kind::kUnix) return "unix:" + endpoint.path;
   return "tcp:" + endpoint.host + ':' + std::to_string(endpoint.port);
 }
-
-const char* engineKindName(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kThreads: return "threads";
-    case EngineKind::kEpoll: return "epoll";
-    case EngineKind::kAuto: return "auto";
-  }
-  return "threads";
-}
-
-std::optional<EngineKind> engineKindFromName(std::string_view name) {
-  if (name == "threads") return EngineKind::kThreads;
-  if (name == "epoll") return EngineKind::kEpoll;
-  if (name == "auto") return EngineKind::kAuto;
-  return std::nullopt;
-}
-
-void applyAcceptedSocketOptions(int fd, const ServerConfig& config) {
-  if (config.endpoint.kind == Endpoint::Kind::kTcp) {
-    const int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  if (config.sendBufBytes > 0) {
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config.sendBufBytes,
-                       sizeof(config.sendBufBytes));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ThreadsEngine — the original accept-thread + bounded-queue + worker-pool
-// core, now behind the Engine interface. One worker owns one connection at a
-// time; blocking reads are bounded by SO_RCVTIMEO plus FdLineReader's
-// per-request deadline window.
-// ---------------------------------------------------------------------------
-class ThreadsEngine final : public Engine {
- public:
-  explicit ThreadsEngine(Server& server)
-      : server_(server), config_(server.config_), metrics_(server.metrics_) {}
-
-  ~ThreadsEngine() override {
-    for (int fd : {stopPipe_[0], stopPipe_[1]}) {
-      if (fd >= 0) ::close(fd);
-    }
-  }
-
-  void start() override {
-    if (::pipe(stopPipe_) != 0) throwErrno("pipe");
-    (void)::fcntl(stopPipe_[0], F_SETFD, FD_CLOEXEC);
-    (void)::fcntl(stopPipe_[1], F_SETFD, FD_CLOEXEC);
-    acceptThread_ = std::thread([this] { acceptLoop(); });
-    workers_.reserve(static_cast<std::size_t>(config_.workers));
-    for (int i = 0; i < config_.workers; ++i) {
-      workers_.emplace_back([this] { workerLoop(); });
-    }
-  }
-
-  void requestStop() override {
-    stopping_.store(true, std::memory_order_release);
-    if (stopPipe_[1] >= 0) {
-      const char byte = 's';
-      [[maybe_unused]] const auto n = ::write(stopPipe_[1], &byte, 1);
-    }
-  }
-
-  void wait() override {
-    if (acceptThread_.joinable()) acceptThread_.join();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-  }
-
- private:
-  // A connection waiting for a worker, stamped at enqueue so the first
-  // request served on it can report how long it sat in the queue.
-  struct QueuedConnection {
-    int fd = -1;
-    std::chrono::steady_clock::time_point enqueued{};
-  };
-
-  bool pushConnection(int fd) {
-    std::size_t depth = 0;
-    {
-      std::lock_guard lock(queueMutex_);
-      if (queueClosed_ || queue_.size() >= config_.queueCapacity) return false;
-      queue_.push_back({fd, std::chrono::steady_clock::now()});
-      depth = queue_.size();
-    }
-    metrics_.observeQueueDepth(depth);
-    queueCv_.notify_one();
-    return true;
-  }
-
-  std::optional<QueuedConnection> popConnection() {
-    std::unique_lock lock(queueMutex_);
-    queueCv_.wait(lock, [this] { return queueClosed_ || !queue_.empty(); });
-    if (queue_.empty()) return std::nullopt;  // closed and drained
-    const QueuedConnection connection = queue_.front();
-    queue_.pop_front();
-    return connection;
-  }
-
-  void acceptLoop() {
-    int backoffMs = 0;
-    while (!stopping_.load(std::memory_order_acquire)) {
-      pollfd fds[2] = {{server_.listenFd_, POLLIN, 0},
-                       {stopPipe_[0], POLLIN, 0}};
-      const int ready = ::poll(fds, 2, -1);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (fds[1].revents != 0) break;  // stop requested
-      if ((fds[0].revents & POLLIN) == 0) continue;
-      const int fd = ::accept(server_.listenFd_, nullptr, nullptr);
-      if (fd < 0) {
-        // The peer hanging up between poll and accept is routine, not an
-        // error worth counting.
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        metrics_.countAcceptError();
-        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-            errno == ENOMEM) {
-          // Resource exhaustion: the pending connection stays in the backlog,
-          // so poll() would wake us immediately and the loop would busy-spin.
-          // Back off (exponentially, capped) while staying responsive to the
-          // stop pipe; workers closing fds is what clears the condition.
-          backoffMs = backoffMs == 0 ? 10 : std::min(backoffMs * 2, 1000);
-          pollfd pause{stopPipe_[0], POLLIN, 0};
-          (void)::poll(&pause, 1, backoffMs);
-        }
-        continue;
-      }
-      backoffMs = 0;
-      metrics_.countAccepted();
-      setRecvTimeout(fd, config_.requestTimeoutMs);
-      applyAcceptedSocketOptions(fd, config_);
-      if (!pushConnection(fd)) {
-        metrics_.countRejected();
-        sendAll(fd, errorLine(kErrOverloaded, kOverloadedMessage));
-        ::close(fd);
-      }
-    }
-    // Graceful drain: close the listen socket so late connects fail fast
-    // (ECONNREFUSED instead of queueing in the kernel backlog), stop feeding
-    // workers, and nudge in-flight connections: a read-side shutdown lets
-    // requests already received finish while idle keep-alives end immediately.
-    const int listening = server_.listenFd_;
-    server_.listenFd_ = -1;
-    ::close(listening);
-    {
-      std::lock_guard lock(queueMutex_);
-      queueClosed_ = true;
-    }
-    queueCv_.notify_all();
-    {
-      std::lock_guard lock(activeMutex_);
-      for (const int fd : activeFds_) (void)::shutdown(fd, SHUT_RD);
-    }
-  }
-
-  void workerLoop() {
-    while (true) {
-      const std::optional<QueuedConnection> connection = popConnection();
-      if (!connection) return;
-      const int fd = connection->fd;
-      const auto queueWaitUs = static_cast<std::uint64_t>(
-          std::max<std::int64_t>(
-              0, std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - connection->enqueued)
-                     .count()));
-      {
-        std::lock_guard lock(activeMutex_);
-        activeFds_.push_back(fd);
-      }
-      // Connections popped after the drain began were never swept by the
-      // accept loop; give them one short grace window instead of the full
-      // request timeout.
-      if (stopping_.load(std::memory_order_acquire)) setRecvTimeout(fd, 250);
-      serveConnection(fd, queueWaitUs);
-      {
-        std::lock_guard lock(activeMutex_);
-        std::erase(activeFds_, fd);
-      }
-      ::close(fd);
-    }
-  }
-
-  void serveConnection(int fd, std::uint64_t queueWaitUs) {
-    FdLineReader reader(fd, kMaxRequestLineBytes);
-    BufferedWriter writer(fd);
-    // Per-connection scratch reused by every request: the received line,
-    // the assembled request text and the parse target keep their capacity.
-    std::string line;
-    std::string requestText;
-    Request request;
-    // The queue wait belongs to the first request served on the connection;
-    // later pipelined/keep-alive requests never sat in the accept queue.
-    std::uint64_t pendingQueueWaitUs = queueWaitUs;
-    const auto budget =
-        std::chrono::milliseconds(std::max(config_.requestDeadlineMs, 0));
-    // Answers `ERR <code> <message>`, flushes, and drains the peer's
-    // input; used for conditions the connection cannot be resynchronized
-    // from, so the caller closes it.
-    const auto refuse = [&](std::string_view code, const std::string& message) {
-      metrics_.countError();
-      appendErrorLine(writer.buffer(), code, message);
-      if (writer.flush()) drainBeforeClose(fd, kLingerGrace);
-    };
-    // Terminal read results other than a plain close get a parting ERR so
-    // the peer learns *why* it was disconnected.
-    const auto failRead = [&](LineRead status, std::string_view context) {
-      if (status == LineRead::kTooLong) {
-        metrics_.countLineOverflow();
-        refuse(kErrLineTooLong,
-               std::string(context) + ": line exceeds " +
-                   std::to_string(kMaxRequestLineBytes) + " bytes");
-      } else if (status == LineRead::kDeadline) {
-        metrics_.countDeadlineExpired();
-        refuse(kErrDeadline,
-               std::string(context) + ": request deadline exceeded");
-      } else {
-        (void)writer.flush();  // EOF / idle timeout: nothing left to say
-      }
-    };
-    // Reads a `PREDICT`/`PREDICT_BATCH` body through its terminator into
-    // requestText; kClosed covers both a vanished peer and the line cap
-    // running out before the terminator (neither can be resynchronized).
-    const auto collectBlock = [&](std::string_view terminator,
-                                  int maxLines) -> LineRead {
-      for (int extra = 0; extra < maxLines; ++extra) {
-        const LineRead status = reader.readLine(line);
-        if (status != LineRead::kLine) return status;
-        requestText += line;
-        requestText += '\n';
-        if (util::firstTokenIs(line, terminator)) return LineRead::kLine;
-      }
-      return LineRead::kClosed;
-    };
-    while (true) {
-      // Responses are buffered; flush only when the client has no further
-      // request already in the read buffer, so pipelined request bursts are
-      // answered with one write syscall.
-      if (!reader.hasBufferedLine() && !writer.flush()) break;
-      // One wall-clock budget covers the whole logical request (verb line
-      // plus any block body), armed when its first byte arrives; a silent
-      // keep-alive connection is still governed only by SO_RCVTIMEO.
-      reader.beginRequestWindow(budget);
-      const LineRead first = reader.readLine(line);
-      if (first != LineRead::kLine) {
-        failRead(first, "request");
-        break;
-      }
-      // Assemble one logical request: a single line, except PREDICT and
-      // PREDICT_BATCH whose blocks run through their terminator lines.
-      const std::string_view verbToken = util::firstToken(line);
-      if (verbToken.empty()) continue;  // blank / keep-alive noise
-      const bool batch = verbToken == "PREDICT_BATCH";
-      const bool block = batch || verbToken == "PREDICT";
-      requestText.assign(line);
-      requestText += '\n';
-      if (block) {
-        const char* verb = batch ? "PREDICT_BATCH" : "PREDICT";
-        const char* terminator = batch ? "end_batch" : "end";
-        const LineRead status = collectBlock(
-            terminator, batch ? kMaxBatchBlockLines : kMaxPredictBlockLines);
-        if (status == LineRead::kClosed) {
-          refuse(kErrBlockUnterminated, std::string(verb) +
-                                            ": block not closed with '" +
-                                            terminator + "'");
-          break;  // can't resync a half-read block; drop the connection
-        }
-        if (status != LineRead::kLine) {
-          failRead(status, verb);
-          break;
-        }
-      }
-
-      server_.answer(requestText, request, writer.buffer(),
-                     pendingQueueWaitUs);
-      pendingQueueWaitUs = 0;
-    }
-    // Anything still buffered was never delivered; account for it instead of
-    // letting the close swallow it silently.
-    if (!writer.empty()) metrics_.countDroppedBytes(writer.pendingBytes());
-  }
-
-  Server& server_;
-  const ServerConfig& config_;
-  Metrics& metrics_;
-
-  int stopPipe_[2] = {-1, -1};
-  std::thread acceptThread_;
-  std::vector<std::thread> workers_;
-
-  std::mutex queueMutex_;
-  std::condition_variable queueCv_;
-  std::deque<QueuedConnection> queue_;
-  bool queueClosed_ = false;
-
-  // Connections currently held by workers; on drain they get a read-side
-  // shutdown so already-received requests finish but idle ones end now.
-  std::mutex activeMutex_;
-  std::vector<int> activeFds_;
-
-  std::atomic<bool> stopping_{false};
-};
 
 Server::Server(ServerConfig config, ConcurrentTracker& tracker,
                Metrics& metrics)
@@ -487,13 +164,7 @@ void Server::start() {
   }
   if (::listen(listenFd_, config_.backlog) != 0) throwErrno("listen");
 
-  resolvedEngine_ = config_.engine == EngineKind::kAuto ? EngineKind::kEpoll
-                                                        : config_.engine;
-  if (resolvedEngine_ == EngineKind::kEpoll) {
-    engine_ = std::make_unique<EventEngine>(*this);
-  } else {
-    engine_ = std::make_unique<ThreadsEngine>(*this);
-  }
+  engine_ = std::make_unique<EventEngine>(*this);
   startTime_ = std::chrono::steady_clock::now();
   engine_->start();
   started_ = true;
@@ -502,7 +173,7 @@ void Server::start() {
 void Server::requestStop() {
   // Async-signal-safe: a raw pointer read plus the engine's atomic flag and
   // self-pipe write. No locks, no allocation.
-  if (Engine* engine = engine_.get()) engine->requestStop();
+  if (EventEngine* engine = engine_.get()) engine->requestStop();
 }
 
 void Server::wait() {
@@ -675,7 +346,7 @@ void Server::handle(const Request& request, ReplyEncoder& reply) {
       reply.add("p", static_cast<std::uint64_t>(snapshot.active));
       reply.add("recovered",
                 static_cast<std::uint64_t>(config_.recovered ? 1 : 0));
-      reply.add("engine", engineKindName(resolvedEngine_));
+      reply.add("engine", "epoll");  // one core; the key keeps the schema
       reply.add("backlog", static_cast<std::uint64_t>(config_.backlog));
       if (config_.journal != nullptr) {
         const JournalStats journal = config_.journal->stats();
@@ -771,7 +442,7 @@ void Server::handle(const Request& request, ReplyEncoder& reply) {
       reply.add("signature", stats.signature);
       reply.add("p", static_cast<std::uint64_t>(stats.active));
       reply.add("table_generation", stats.tableGeneration);
-      reply.add("engine", engineKindName(resolvedEngine_));
+      reply.add("engine", "epoll");  // one core; the key keeps the schema
       reply.add("backlog", static_cast<std::uint64_t>(config_.backlog));
       reply.add("arrivals", stats.arrivals);
       reply.add("departures", stats.departures);

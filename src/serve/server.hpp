@@ -1,37 +1,25 @@
 // server.hpp — the contend-serve network front.
 //
-// Two interchangeable serving cores answer the same protocol behind the
-// Engine interface:
+// One serving core, EventEngine (event_engine.hpp), moves the bytes: a
+// small ring of event-loop threads (--loop-threads, default 1) runs a
+// non-blocking edge-triggered epoll state machine — per-connection
+// incremental framing straight over recv buffers, pipelined replies
+// coalesced into one send with EAGAIN backpressure, and a timer wheel for
+// the idle timeout and the slow-loris request deadline.
 //
-//  - ThreadsEngine (--engine threads, the default): one thread accepts
-//    connections and pushes the fds onto a bounded queue; N workers pop a
-//    connection each and serve its requests with blocking reads until the
-//    client closes, errors, or a read times out (per-request timeout via
-//    SO_RCVTIMEO). When the queue is full, new connections are refused with
-//    a one-line `ERR` so clients fail fast instead of piling up.
-//
-//  - EventEngine (--engine epoll, see event_engine.hpp): a small ring of
-//    event-loop threads runs a non-blocking edge-triggered epoll state
-//    machine — per-connection incremental parsing straight over recv
-//    buffers, pipelined replies coalesced into one send with EAGAIN
-//    backpressure, and a timer wheel enforcing the same idle-timeout and
-//    slow-loris deadline guarantees. `--engine auto` prefers epoll.
-//
-// The engines own only framing, socket I/O, deadlines and refusals. Each
-// framed request goes through one shared step, Server::answer (parse with
+// The engine owns only framing, socket I/O, deadlines and refusals. Each
+// framed request goes through one step, Server::answer (parse with
 // parseRequestText into the connection's reusable Request, dispatch, encode
-// straight into the connection's output buffer, count), so both answer
-// identical verbs with identical ERR codes and feed the same Metrics.
-// `requestStop()` is async-signal safe in both (an atomic flag plus a
-// self-pipe write), which is what lets the daemon drain gracefully from a
-// SIGTERM handler: stop accepting, finish queued and in-flight
+// straight into the connection's output buffer, count), which tests and
+// benches can also call in process. `requestStop()` is async-signal safe
+// (an atomic flag plus a self-pipe write), which is what lets the daemon
+// drain gracefully from a SIGTERM handler: stop accepting, finish in-flight
 // connections, join.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -41,6 +29,7 @@
 
 namespace contend::serve {
 
+class EventEngine;       // serve/event_engine.hpp
 class ReplicationState;  // serve/replication.hpp
 
 /// Where to listen/connect. Specs: `unix:/path/to.sock`,
@@ -57,36 +46,26 @@ struct Endpoint {
 [[nodiscard]] Endpoint parseEndpoint(const std::string& spec);
 [[nodiscard]] std::string endpointToString(const Endpoint& endpoint);
 
-/// Which serving core runs the socket I/O.
-enum class EngineKind { kThreads, kEpoll, kAuto };
-
-[[nodiscard]] const char* engineKindName(EngineKind kind);
-/// nullopt on anything other than "threads" | "epoll" | "auto".
-[[nodiscard]] std::optional<EngineKind> engineKindFromName(
-    std::string_view name);
-
 struct ServerConfig {
   Endpoint endpoint;
+  // Connection admission cap: at most workers + queueCapacity connections
+  // are live at once; one more is answered `ERR overloaded` and closed.
   int workers = 8;
   std::size_t queueCapacity = 128;
-  int requestTimeoutMs = 5000;  // per socket read; bounds drain time too
-  // Wall-clock budget for one logical request, armed when its first byte
-  // arrives. SO_RCVTIMEO alone is per-recv, so a slow-loris client dripping
-  // one byte per timeout window would otherwise pin a worker forever. The
-  // worst-case disconnect time is requestDeadlineMs + requestTimeoutMs
-  // (deadline checks happen between recvs). 0 disables the deadline.
+  // Idle receive timeout: a connection that sends nothing for this long is
+  // closed. Restarts at every arrival.
+  int requestTimeoutMs = 5000;
+  // Wall-clock budget for one logical request, armed when a partial request
+  // is left buffered and fixed while it drips in, so a slow-loris client
+  // that sends one byte per idle window is still cut off. 0 disables it.
   int requestDeadlineMs = 10000;
-  // Serving core; kAuto resolves to epoll at start(). The workers/queue
-  // knobs above govern the threads engine directly; the epoll engine reuses
-  // workers + queueCapacity as its connection admission cap, so overload
-  // semantics (ERR overloaded before close) stay identical across engines.
-  EngineKind engine = EngineKind::kThreads;
-  // Event-loop threads for the epoll engine (threads engine ignores this).
+  // Event-loop threads. One loop costs the least CPU per request for a few
+  // clients; more loops raise throughput only with many clients.
   int loopThreads = 1;
   // listen(2) backlog; surfaced in STATS and HEALTH.
   int backlog = 1024;
   // Testing knob: when > 0, shrink accepted sockets' SO_SNDBUF to this many
-  // bytes to force partial writes / EAGAIN (exercises the epoll engine's
+  // bytes to force partial writes / EAGAIN (exercises the engine's
   // write-resumption path). 0 leaves the kernel default.
   int sendBufBytes = 0;
   // Optional write-ahead journal (not owned; must outlive the server). Its
@@ -106,27 +85,8 @@ struct ServerConfig {
   ReplicationState* replication = nullptr;
 };
 
-/// One serving core, created by Server::start() after the listen socket
-/// exists. Implementations: ThreadsEngine (server.cpp) and EventEngine
-/// (event_engine.{hpp,cpp}).
-class Engine {
- public:
-  virtual ~Engine() = default;
-  /// Spawns the engine's threads. Throws std::runtime_error on failure.
-  virtual void start() = 0;
-  /// Async-signal-safe shutdown trigger.
-  virtual void requestStop() = 0;
-  /// Blocks until every engine thread has drained and joined.
-  virtual void wait() = 0;
-};
-
-/// Socket options every accepted connection gets, in both engines:
-/// TCP_NODELAY on tcp sockets (small pipelined request/response lines must
-/// not sit out Nagle/delayed-ACK stalls) and the optional SO_SNDBUF shrink.
-void applyAcceptedSocketOptions(int fd, const ServerConfig& config);
-
-/// Message of the `ERR overloaded` line both engines send a connection that
-/// arrives over the admission cap, just before closing it.
+/// Message of the `ERR overloaded` line sent to a connection that arrives
+/// over the admission cap, just before closing it.
 inline constexpr const char* kOverloadedMessage =
     "server overloaded, try again";
 
@@ -137,14 +97,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts the configured engine. Throws
+  /// Binds, listens, and starts the event loops. Throws
   /// std::runtime_error on socket errors.
   void start();
 
   /// Async-signal-safe shutdown trigger (callable from a SIGTERM handler).
   void requestStop();
 
-  /// Blocks until the engine has stopped and all its threads have drained.
+  /// Blocks until every event loop has drained and joined.
   void wait();
 
   /// requestStop() + wait().
@@ -153,12 +113,10 @@ class Server {
   /// The port actually bound (after start()); useful with `tcp:...:0`.
   [[nodiscard]] int boundPort() const { return boundPort_; }
   [[nodiscard]] const Endpoint& endpoint() const { return config_.endpoint; }
-  /// The engine actually serving (kAuto resolved); meaningful after start().
-  [[nodiscard]] EngineKind engineKind() const { return resolvedEngine_; }
 
-  /// The per-request step both engines share; callable in process without
-  /// start(). `text` is one framed request (verb line plus any
-  /// PREDICT/PREDICT_BATCH block through its terminator), `request` the
+  /// The per-request step every connection goes through; callable in
+  /// process without start(). `text` is one framed request (verb line plus
+  /// any PREDICT/PREDICT_BATCH block through its terminator), `request` the
   /// connection's reusable parse target, and `queueWaitUs` how long the
   /// request waited before service, for the slow-request log. Parses,
   /// answers METRICS with the exposition or dispatches, maps exceptions to
@@ -169,9 +127,6 @@ class Server {
               std::uint64_t queueWaitUs);
 
  private:
-  // Both engines drive the same request dispatch and observability surface;
-  // they differ only in how bytes move.
-  friend class ThreadsEngine;
   friend class EventEngine;
 
   /// Encodes the OK reply to `request`; refusals (read-only follower,
@@ -198,8 +153,7 @@ class Server {
   // a file bound by someone else after our bind failed.
   bool ownsSocketFile_ = false;
 
-  EngineKind resolvedEngine_ = EngineKind::kThreads;
-  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<EventEngine> engine_;
   std::chrono::steady_clock::time_point startTime_{};  // for HEALTH uptime_s
 };
 

@@ -24,10 +24,9 @@
 namespace contend::serve {
 
 struct SyscallHooks {
-  /// Intercepts the send(2) inside sendAll (server responses, client
-  /// requests).
+  /// Intercepts the send(2) inside sendAll (the client's requests).
   std::function<ssize_t(int fd, const void* buf, std::size_t len)> send;
-  /// Intercepts the recv(2) inside FdLineReader (both halves).
+  /// Intercepts the recv(2) inside FdLineReader (the client's replies).
   std::function<ssize_t(int fd, void* buf, std::size_t len)> recv;
   /// Intercepts the write(2) appending journal records.
   std::function<ssize_t(int fd, const void* buf, std::size_t len)> write;

@@ -50,8 +50,8 @@ class JitterFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     config_.endpoint = parseEndpoint("unix:" + uniqueSocketPath("jitter"));
-    // Every copy opens its own connection and the threads engine parks one
-    // worker per connection; enough workers that no copy waits in the queue.
+    // Every copy opens its own connection; the admission cap (workers +
+    // queue) leaves room for all of them.
     config_.workers = 8;
     config_.requestTimeoutMs = 2000;
     server_ = std::make_unique<Server>(config_, tracker_, metrics_);

@@ -1,9 +1,9 @@
 // Tests for the online recalibration subsystem: the Recalibrator's
 // deterministic fold/build, drift scoring, the tracker-level atomic table
 // swap (the suite name carries "Recalibration" so the CI ThreadSanitizer
-// pass picks the concurrency cases up), the CALIBRATE/DRIFT verbs over both
-// serving engines — including the stale-cache regression the tableGeneration
-// key field fixes — and the journal-degraded HEALTH/metrics reporting.
+// pass picks the concurrency cases up), the CALIBRATE/DRIFT verbs over the
+// wire — including the stale-cache regression the tableGeneration key field
+// fixes — and the journal-degraded HEALTH/metrics reporting.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -364,15 +364,14 @@ TEST(RecalibrationConcurrency, ApplyIsAtomicAgainstConcurrentPredicts) {
   }
 }
 
-// --- CALIBRATE / DRIFT over both serving engines --------------------------
+// --- CALIBRATE / DRIFT over the wire ----------------------------------------
 
-class RecalibrationServerFixture : public ::testing::TestWithParam<EngineKind> {
+class RecalibrationServerFixture : public ::testing::Test {
  protected:
   void start() {
     config_.endpoint = parseEndpoint("unix:" + uniqueSocketPath("fixture"));
     config_.workers = 4;
     config_.requestTimeoutMs = 2000;
-    config_.engine = GetParam();
     server_ = std::make_unique<Server>(config_, tracker_, metrics_);
     server_->start();
   }
@@ -383,7 +382,7 @@ class RecalibrationServerFixture : public ::testing::TestWithParam<EngineKind> {
   std::unique_ptr<Server> server_;
 };
 
-TEST_P(RecalibrationServerFixture, CalibrateAndDriftVerbsEndToEnd) {
+TEST_F(RecalibrationServerFixture, CalibrateAndDriftVerbsEndToEnd) {
   start();
   Client client(config_.endpoint);
   ASSERT_TRUE(client.arrive(0.3, 800).ok);
@@ -499,15 +498,6 @@ TEST_P(RecalibrationServerFixture, CalibrateAndDriftVerbsEndToEnd) {
   server_->stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, RecalibrationServerFixture,
-                         ::testing::Values(EngineKind::kThreads,
-                                           EngineKind::kEpoll),
-                         [](const auto& paramInfo) {
-                           return paramInfo.param == EngineKind::kThreads
-                                      ? "threads"
-                                      : "epoll";
-                         });
-
 // --- HEALTH degradation on journal append failures ------------------------
 
 class HookGuard {
@@ -528,7 +518,6 @@ TEST(RecalibrationHealth, JournalDegradedAfterAppendFailure) {
   ServerConfig config;
   config.endpoint = parseEndpoint("unix:" + uniqueSocketPath("health"));
   config.workers = 2;
-  config.engine = EngineKind::kThreads;
   config.journal = &journal;
   Metrics metrics;
   Server server(config, tracker, metrics);

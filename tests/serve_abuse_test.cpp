@@ -1,8 +1,8 @@
 // serve_abuse_test.cpp — hostile-client tests for the serving stack: the
 // server must answer (or shed) slow, malformed, and abusive peers with a
 // coded `ERR` and bounded resources, while concurrent well-formed clients
-// keep getting answers. Companion unit tests pin the FdLineReader /
-// BufferedWriter guarantees the server builds on.
+// keep getting answers. A companion unit test pins the line cap of the
+// client's FdLineReader.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,7 +11,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -158,15 +157,23 @@ std::optional<std::string> dripUntilReply(RawConn& conn, const char* byte) {
   return std::nullopt;
 }
 
-/// Every abuse guarantee must hold under both serving cores, so the whole
-/// suite runs once per engine.
-class ServerAbuseTest : public ::testing::TestWithParam<EngineKind> {
+/// Polls `done` every 5 ms for up to 2 s; true once it holds.
+template <typename Predicate>
+bool waitFor(Predicate done) {
+  const auto deadline = Clock::now() + 2000ms;
+  while (!done()) {
+    if (Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(5ms);
+  }
+  return true;
+}
+
+class ServerAbuseTest : public ::testing::Test {
  protected:
   void start(int workers = 2, int timeoutMs = 2000, int deadlineMs = 0,
              std::size_t queueCapacity = 128, bool tcp = false) {
     config_.endpoint = parseEndpoint(
         tcp ? "tcp:127.0.0.1:0" : "unix:" + uniqueSocketPath("abuse"));
-    config_.engine = GetParam();
     config_.workers = workers;
     config_.queueCapacity = queueCapacity;
     config_.requestTimeoutMs = timeoutMs;
@@ -230,7 +237,7 @@ class ServerAbuseTest : public ::testing::TestWithParam<EngineKind> {
   std::unique_ptr<Server> server_;
 };
 
-// --- FdLineReader / BufferedWriter unit guarantees ------------------------
+// --- FdLineReader unit guarantee -------------------------------------------
 
 TEST(FdLineReaderGuard, UnterminatedLineIsCappedAndBufferStaysBounded) {
   int pair[2];
@@ -258,80 +265,15 @@ TEST(FdLineReaderGuard, UnterminatedLineIsCappedAndBufferStaysBounded) {
   ::close(pair[1]);
 }
 
-TEST(FdLineReaderGuard, DeadlineFiresOnDrippedBytes) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  std::atomic<bool> stop{false};
-  std::thread dripper([fd = pair[1], &stop] {
-    while (!stop.load()) {
-      if (::send(fd, "S", 1, MSG_NOSIGNAL) < 0) break;
-      std::this_thread::sleep_for(50ms);
-    }
-  });
-  {
-    FdLineReader reader(pair[0], 1 << 16);
-    reader.beginRequestWindow(300ms);
-    std::string line;
-    const auto begin = Clock::now();
-    EXPECT_EQ(reader.readLine(line), LineRead::kDeadline);
-    const auto elapsed = Clock::now() - begin;
-    EXPECT_GE(elapsed, 250ms);
-    EXPECT_LE(elapsed, 2000ms);
-  }
-  stop.store(true);
-  ::close(pair[0]);
-  dripper.join();
-  ::close(pair[1]);
-}
-
-TEST(FdLineReaderGuard, BufferedLineBeforeWindowStillCountsAsStarted) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  // A receive timeout like the server's, so the blocking recv wakes up to
-  // notice the (already-armed) deadline.
-  timeval tv{};
-  tv.tv_usec = 200 * 1000;
-  ASSERT_EQ(::setsockopt(pair[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)),
-            0);
-  ASSERT_EQ(::send(pair[1], "PING\npartial", 12, MSG_NOSIGNAL), 12);
-  FdLineReader reader(pair[0], 1 << 16);
-  std::string line;
-  EXPECT_EQ(reader.readLine(line), LineRead::kLine);
-  EXPECT_EQ(line, "PING");
-  // "partial" is already buffered when the next window opens, so the
-  // deadline arms immediately rather than waiting for a fresh byte.
-  reader.beginRequestWindow(100ms);
-  const auto begin = Clock::now();
-  EXPECT_EQ(reader.readLine(line), LineRead::kDeadline);
-  EXPECT_LE(Clock::now() - begin, 1500ms);
-  ::close(pair[0]);
-  ::close(pair[1]);
-}
-
-TEST(BufferedWriterGuard, FailedFlushKeepsTheBuffer) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  BufferedWriter writer(pair[0]);
-  writer.append("OK queued=1\n");
-  ::close(pair[1]);  // peer gone: the next flush must fail
-  EXPECT_FALSE(writer.flush());
-  // The un-delivered bytes are still accounted for, not silently dropped.
-  EXPECT_FALSE(writer.empty());
-  EXPECT_EQ(writer.pendingBytes(), 12u);
-  EXPECT_FALSE(writer.flush());  // still failing, still intact
-  EXPECT_EQ(writer.pendingBytes(), 12u);
-  ::close(pair[0]);
-}
-
 // --- Server-level abuse ----------------------------------------------------
 
-TEST_P(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnected) {
+TEST_F(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnected) {
   start();
   expectOversizedLineRefused();
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnectedTcp) {
+TEST_F(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnectedTcp) {
   // Over TCP a close with unread input sends a reset, which can also throw
   // away the ERR before the client reads it.
   start(/*workers=*/2, /*timeoutMs=*/2000, /*deadlineMs=*/0,
@@ -340,19 +282,75 @@ TEST_P(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnectedTcp) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, SlowLorisIsDisconnectedWithinTwiceTheDeadline) {
+TEST_F(ServerAbuseTest, UnterminatedTailIsRefusedAtTheLineCap) {
+  start();
+  RawConn conn(path());
+  // One byte short of the cap with no newline: still a request in progress.
+  ASSERT_TRUE(conn.trySend(std::string(kMaxRequestLineBytes - 1, 'A')));
+  std::this_thread::sleep_for(100ms);
+  char peek = 0;
+  EXPECT_EQ(::recv(conn.fd(), &peek, 1, MSG_DONTWAIT), -1)
+      << "refused a tail below the cap";
+  // The byte that reaches the cap, still unterminated, gets the refusal.
+  ASSERT_TRUE(conn.trySend("A"));
+  const auto reply = conn.readLine();
+  ASSERT_TRUE(reply.has_value());
+  const Response parsed = parseResponse(*reply);
+  EXPECT_EQ(parsed.code, kErrLineTooLong);
+  EXPECT_NE(parsed.error.find("request: line exceeds"), std::string::npos)
+      << parsed.error;
+  EXPECT_TRUE(conn.atEof());
+  EXPECT_EQ(metrics_.snapshot().lineOverflows, 1u);
+  server_->stop();
+}
+
+TEST_F(ServerAbuseTest, LineReachingTheCapIsRefusedWhenItsNewlineArrives) {
+  start();
+  RawConn conn(path());
+  ASSERT_TRUE(conn.trySend(std::string(kMaxRequestLineBytes - 1, 'A')));
+  std::this_thread::sleep_for(100ms);  // buffered as an unterminated tail
+  // The terminated line is exactly the cap long: refused, not parsed.
+  ASSERT_TRUE(conn.trySend("A\nSLOWDOWN\n"));
+  const auto reply = conn.readLine();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(parseResponse(*reply).code, kErrLineTooLong);
+  EXPECT_TRUE(conn.atEof());
+  EXPECT_EQ(metrics_.snapshot().lineOverflows, 1u);
+  server_->stop();
+}
+
+TEST_F(ServerAbuseTest, BlockPastItsLineCapIsRefused) {
+  start();
+  RawConn conn(path());
+  // A PREDICT body may hold kMaxPredictBlockLines lines, terminator
+  // included; one more without `end` cannot be resynchronized.
+  std::string block = "PREDICT endless\n";
+  for (int i = 0; i < kMaxPredictBlockLines; ++i) block += "front 1.0\n";
+  ASSERT_TRUE(conn.trySend(block));
+  const auto reply = conn.readLine();
+  ASSERT_TRUE(reply.has_value());
+  const Response parsed = parseResponse(*reply);
+  EXPECT_EQ(parsed.code, kErrBlockUnterminated);
+  EXPECT_NE(parsed.error.find("PREDICT: block not closed with 'end'"),
+            std::string::npos)
+      << parsed.error;
+  EXPECT_TRUE(conn.atEof());
+  server_->stop();
+}
+
+TEST_F(ServerAbuseTest, SlowLorisIsDisconnectedWithinTwiceTheDeadline) {
   constexpr int kDeadlineMs = 500;
   start(/*workers=*/2, /*timeoutMs=*/300, kDeadlineMs);
   RawConn loris(path());
   const auto begin = Clock::now();
-  // Drip one byte per 100 ms: each recv succeeds, so SO_RCVTIMEO alone
-  // would never fire and the worker would be pinned forever.
+  // Drip one byte per 100 ms: every arrival restarts the idle timeout, so
+  // only the request deadline can end the connection.
   const std::optional<std::string> reply = dripUntilReply(loris, "S");
   const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                              Clock::now() - begin)
                              .count();
   // Acceptance bound: gone within 2x the configured request deadline.
-  EXPECT_LE(elapsedMs, 2 * kDeadlineMs) << "slow-loris pinned a worker";
+  EXPECT_LE(elapsedMs, 2 * kDeadlineMs) << "slow-loris held its connection";
   ASSERT_TRUE(reply.has_value());
   const Response parsed = parseResponse(*reply);
   EXPECT_FALSE(parsed.ok);
@@ -367,7 +365,7 @@ TEST_P(ServerAbuseTest, SlowLorisIsDisconnectedWithinTwiceTheDeadline) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, SlowLorisInsideAPredictBlockAlsoDies) {
+TEST_F(ServerAbuseTest, SlowLorisInsideAPredictBlockAlsoDies) {
   start(/*workers=*/2, /*timeoutMs=*/300, /*deadlineMs=*/500);
   RawConn loris(path());
   // A complete verb line, then the block body dripped one byte at a time:
@@ -384,7 +382,7 @@ TEST_P(ServerAbuseTest, SlowLorisInsideAPredictBlockAlsoDies) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, HalfClosedSocketGetsItsAnswerThenCloses) {
+TEST_F(ServerAbuseTest, HalfClosedSocketGetsItsAnswerThenCloses) {
   start();
   RawConn client(path());
   ASSERT_TRUE(client.trySend("SLOWDOWN\n"));
@@ -394,8 +392,7 @@ TEST_P(ServerAbuseTest, HalfClosedSocketGetsItsAnswerThenCloses) {
   EXPECT_TRUE(parseResponse(*reply).ok);
   EXPECT_TRUE(client.atEof());
 
-  // A half-close with nothing sent must simply end the connection without
-  // wedging the worker.
+  // A half-close with nothing sent must simply end the connection.
   {
     RawConn silent(path());
     ASSERT_EQ(::shutdown(silent.fd(), SHUT_WR), 0);
@@ -406,7 +403,7 @@ TEST_P(ServerAbuseTest, HalfClosedSocketGetsItsAnswerThenCloses) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, GarbageBytesAreAnsweredWithCodedErrNotACrash) {
+TEST_F(ServerAbuseTest, GarbageBytesAreAnsweredWithCodedErrNotACrash) {
   start();
   Client client(config_.endpoint);
   const Response binary = client.raw(std::string("\x01\x02\x7f garbage\n"));
@@ -426,7 +423,7 @@ TEST_P(ServerAbuseTest, GarbageBytesAreAnsweredWithCodedErrNotACrash) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, UnterminatedBlockErrNamesTheVerbIntact) {
+TEST_F(ServerAbuseTest, UnterminatedBlockErrNamesTheVerbIntact) {
   start();
   RawConn conn(path());
   // Half-close after a partial block: the server sees EOF mid-block and
@@ -446,7 +443,7 @@ TEST_P(ServerAbuseTest, UnterminatedBlockErrNamesTheVerbIntact) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, PipelinedGarbageBetweenValidRequestsStaysInSync) {
+TEST_F(ServerAbuseTest, PipelinedGarbageBetweenValidRequestsStaysInSync) {
   start();
   Client client(config_.endpoint);
   const Response first =
@@ -462,14 +459,14 @@ TEST_P(ServerAbuseTest, PipelinedGarbageBetweenValidRequestsStaysInSync) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, QueueOverflowReceivesTheFullErrLineBeforeClose) {
+TEST_F(ServerAbuseTest, QueueOverflowReceivesTheFullErrLineBeforeClose) {
   start(/*workers=*/1, /*timeoutMs=*/3000, /*deadlineMs=*/0,
         /*queueCapacity=*/1);
-  // Occupy the only worker and the only queue slot with idle connections.
+  // Fill the admission cap (workers + queue = 2) with idle connections.
   RawConn busy(path());
-  std::this_thread::sleep_for(100ms);  // let the worker pop `busy`
+  std::this_thread::sleep_for(100ms);  // let the loop accept `busy`
   RawConn queued(path());
-  std::this_thread::sleep_for(100ms);  // let `queued` land in the queue
+  std::this_thread::sleep_for(100ms);  // and `queued`
   // The next connection must be refused with a complete ERR line, not a
   // bare close.
   RawConn refused(path());
@@ -483,7 +480,98 @@ TEST_P(ServerAbuseTest, QueueOverflowReceivesTheFullErrLineBeforeClose) {
   server_->stop();
 }
 
-TEST_P(ServerAbuseTest, StatsExposeTheNewAbuseCounters) {
+TEST_F(ServerAbuseTest, SilentConnectionIsClosedAfterTheIdleTimeout) {
+  start(/*workers=*/2, /*timeoutMs=*/200);
+  RawConn conn(path());
+  ASSERT_TRUE(conn.trySend("SLOWDOWN\n"));
+  const auto reply = conn.readLine();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(parseResponse(*reply).ok);
+  // Silence after the reply: the connection is closed without a parting
+  // ERR once --timeout-ms passes.
+  const auto begin = Clock::now();
+  EXPECT_TRUE(conn.atEof());
+  const auto waited = Clock::now() - begin;
+  EXPECT_GE(waited, 150ms);
+  EXPECT_LE(waited, 1500ms);
+  EXPECT_EQ(metrics_.snapshot().errors, 0u);
+  server_->stop();
+}
+
+TEST_F(ServerAbuseTest, IdleOpenBlockIsRefusedAsUnterminated) {
+  start(/*workers=*/2, /*timeoutMs=*/200, /*deadlineMs=*/0);
+  RawConn conn(path());
+  // A block the peer stops sending mid-way: a silent close would leave it
+  // guessing, so it gets the same ERR as a block cut off by EOF.
+  ASSERT_TRUE(conn.trySend("PREDICT_BATCH\ntask a\nfront 1.0\n"));
+  const auto begin = Clock::now();
+  const auto reply = conn.readLine();
+  ASSERT_TRUE(reply.has_value());
+  const Response parsed = parseResponse(*reply);
+  EXPECT_EQ(parsed.code, kErrBlockUnterminated);
+  EXPECT_NE(parsed.error.find("PREDICT_BATCH: block not closed with "
+                              "'end_batch'"),
+            std::string::npos)
+      << parsed.error;
+  EXPECT_TRUE(conn.atEof());
+  EXPECT_GE(Clock::now() - begin, 150ms);
+  EXPECT_EQ(metrics_.snapshot().errors, 1u);
+  server_->stop();
+}
+
+TEST_F(ServerAbuseTest, RefusalQueuedBehindUnsentRepliesArrivesLast) {
+  config_.sendBufBytes = 4096;
+  start(/*workers=*/2, /*timeoutMs=*/5000);
+  // 600 replies the peer does not read yet, then a tail past the line
+  // cap: the ERR has to wait behind the replies in the output buffer.
+  constexpr int kRequests = 600;
+  RawConn conn(path());
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) burst += "SLOWDOWN\n";
+  burst += std::string(kMaxRequestLineBytes, 'A');
+  ASSERT_TRUE(conn.trySend(burst));
+  ASSERT_TRUE(waitFor([&] { return metrics_.snapshot().lineOverflows == 1; }));
+  for (int i = 0; i < kRequests; ++i) {
+    const auto reply = conn.readLine();
+    ASSERT_TRUE(reply.has_value()) << "reply " << i;
+    ASSERT_EQ(reply->rfind("OK verb=SLOWDOWN", 0), 0u) << "reply " << i;
+  }
+  const auto refusal = conn.readLine();
+  ASSERT_TRUE(refusal.has_value());
+  EXPECT_EQ(parseResponse(*refusal).code, kErrLineTooLong);
+  EXPECT_TRUE(conn.atEof());
+  EXPECT_EQ(metrics_.snapshot().droppedBytes, 0u);
+  server_->stop();
+}
+
+TEST_F(ServerAbuseTest, PeerThatVanishesMidReplyIsClosedAndCounted) {
+  config_.sendBufBytes = 4096;
+  start(/*workers=*/1, /*timeoutMs=*/5000, /*deadlineMs=*/0,
+        /*queueCapacity=*/1);
+  {
+    RawConn conn(path());
+    std::string burst;
+    for (int i = 0; i < 600; ++i) burst += "SLOWDOWN\n";
+    ASSERT_TRUE(conn.trySend(burst));
+    // Counted as each request is answered; the send that overruns the
+    // buffer comes after the whole batch.
+    ASSERT_TRUE(
+        waitFor([&] { return metrics_.snapshot().requestsTotal == 600; }));
+    ASSERT_TRUE(
+        waitFor([&] { return metrics_.snapshot().loopEagainWrites >= 1; }));
+  }  // closes with the replies unread
+  // The failed send closes the connection and counts what never left.
+  ASSERT_TRUE(waitFor([&] { return metrics_.snapshot().droppedBytes > 0; }));
+  // Its admission slot is free again: both slots of the cap of 2 fit.
+  Client first(config_.endpoint);
+  Client second(config_.endpoint);
+  EXPECT_TRUE(first.slowdown().ok);
+  EXPECT_TRUE(second.slowdown().ok);
+  EXPECT_EQ(metrics_.snapshot().connectionsRejected, 0u);
+  server_->stop();
+}
+
+TEST_F(ServerAbuseTest, StatsExposeTheNewAbuseCounters) {
   start();
   Client client(config_.endpoint);
   const Response stats = client.stats();
@@ -495,13 +583,6 @@ TEST_P(ServerAbuseTest, StatsExposeTheNewAbuseCounters) {
   }
   server_->stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ServerAbuseTest,
-    ::testing::Values(EngineKind::kThreads, EngineKind::kEpoll),
-    [](const ::testing::TestParamInfo<EngineKind>& param) {
-      return std::string(engineKindName(param.param));
-    });
 
 }  // namespace
 }  // namespace contend::serve

@@ -270,18 +270,9 @@ tools::TaskSpec makeTask(std::mt19937& rng) {
   return task;
 }
 
-/// The identical 700-op seeded schedule must produce bit-identical responses
-/// under both serving cores, so the differential check runs once per engine.
-class ServeDifferential : public ::testing::TestWithParam<EngineKind> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ServeDifferential,
-    ::testing::Values(EngineKind::kThreads, EngineKind::kEpoll),
-    [](const ::testing::TestParamInfo<EngineKind>& param) {
-      return std::string(engineKindName(param.param));
-    });
-
-TEST_P(ServeDifferential, RandomScheduleMatchesOfflineOracleBitExactly) {
+/// A 700-op seeded schedule over the wire must produce responses
+/// bit-identical to the offline oracle.
+TEST(ServeDifferential, RandomScheduleMatchesOfflineOracleBitExactly) {
   constexpr int kMaxContenders = 12;
   constexpr int kMaxActive = 10;
   constexpr int kOps = 700;  // acceptance floor is 500
@@ -289,7 +280,6 @@ TEST_P(ServeDifferential, RandomScheduleMatchesOfflineOracleBitExactly) {
   const model::ParagonPlatformModel platform = testPlatform(kMaxContenders);
   ServerConfig config;
   config.endpoint = parseEndpoint("unix:" + uniqueSocketPath());
-  config.engine = GetParam();
   config.workers = 4;
   config.requestTimeoutMs = 5000;
   ConcurrentTracker tracker(platform);

@@ -123,15 +123,14 @@ TEST(Endpoint, MalformedSpecTable) {
                std::invalid_argument);
 }
 
-// Every end-to-end case runs against both serving cores: the protocol,
-// error surfacing, and shutdown behavior must be engine-independent.
-class ServerFixture : public ::testing::TestWithParam<EngineKind> {
+// End-to-end cases over a real socket: the protocol, error surfacing, and
+// shutdown behavior.
+class ServerFixture : public ::testing::Test {
  protected:
   void startUnix() {
     config_.endpoint = parseEndpoint("unix:" + uniqueSocketPath("fixture"));
     config_.workers = 4;
     config_.requestTimeoutMs = 2000;
-    config_.engine = GetParam();
     server_ = std::make_unique<Server>(config_, tracker_, metrics_);
     server_->start();
   }
@@ -142,7 +141,7 @@ class ServerFixture : public ::testing::TestWithParam<EngineKind> {
   std::unique_ptr<Server> server_;
 };
 
-TEST_P(ServerFixture, FullVerbSetOverUnixSocket) {
+TEST_F(ServerFixture, FullVerbSetOverUnixSocket) {
   startUnix();
   Client client(config_.endpoint);
 
@@ -191,7 +190,7 @@ TEST_P(ServerFixture, FullVerbSetOverUnixSocket) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, ErrorsAreReportedNotFatal) {
+TEST_F(ServerFixture, ErrorsAreReportedNotFatal) {
   startUnix();
   Client client(config_.endpoint);
 
@@ -218,10 +217,9 @@ TEST_P(ServerFixture, ErrorsAreReportedNotFatal) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, ServesOverTcp) {
+TEST_F(ServerFixture, ServesOverTcp) {
   config_.endpoint = parseEndpoint("tcp:127.0.0.1:0");  // ephemeral port
   config_.workers = 2;
-  config_.engine = GetParam();
   server_ = std::make_unique<Server>(config_, tracker_, metrics_);
   server_->start();
   ASSERT_GT(server_->boundPort(), 0);
@@ -233,7 +231,7 @@ TEST_P(ServerFixture, ServesOverTcp) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, ManyConcurrentClients) {
+TEST_F(ServerFixture, ManyConcurrentClients) {
   startUnix();
   constexpr int kClients = 8;
   constexpr int kRequests = 50;
@@ -262,7 +260,7 @@ TEST_P(ServerFixture, ManyConcurrentClients) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, GracefulShutdownStopsAccepting) {
+TEST_F(ServerFixture, GracefulShutdownStopsAccepting) {
   startUnix();
   {
     Client client(config_.endpoint);
@@ -279,7 +277,7 @@ TEST_P(ServerFixture, GracefulShutdownStopsAccepting) {
       std::runtime_error);
 }
 
-TEST_P(ServerFixture, PredictBatchOverTheWire) {
+TEST_F(ServerFixture, PredictBatchOverTheWire) {
   startUnix();
   Client client(config_.endpoint);
   ASSERT_TRUE(client.arrive(0.3, 800).ok);
@@ -337,7 +335,7 @@ TEST_P(ServerFixture, PredictBatchOverTheWire) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
+TEST_F(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
   startUnix();
   Client client(config_.endpoint);
   // One write carrying four requests, with a comment line, a blank line and
@@ -373,7 +371,7 @@ TEST_P(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, CrlfRequestsGetTheirLfReplies) {
+TEST_F(ServerFixture, CrlfRequestsGetTheirLfReplies) {
   startUnix();
   Client client(config_.endpoint);
   const auto crlf = [](const std::string& text) {
@@ -418,7 +416,7 @@ TEST_P(ServerFixture, CrlfRequestsGetTheirLfReplies) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, PredictBlockArrivesOverTheWire) {
+TEST_F(ServerFixture, PredictBlockArrivesOverTheWire) {
   startUnix();
   Client client(config_.endpoint);
   const Response response = client.raw(
@@ -433,7 +431,7 @@ TEST_P(ServerFixture, PredictBlockArrivesOverTheWire) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, HealthVerbOverTheWire) {
+TEST_F(ServerFixture, HealthVerbOverTheWire) {
   startUnix();
   Client client(config_.endpoint);
   // No journal configured: HEALTH still answers, with the journal off.
@@ -452,7 +450,7 @@ TEST_P(ServerFixture, HealthVerbOverTheWire) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, MetricsVerbEmitsExposition) {
+TEST_F(ServerFixture, MetricsVerbEmitsExposition) {
   startUnix();
   Client client(config_.endpoint);
   ASSERT_TRUE(client.arrive(0.3, 800).ok);
@@ -482,7 +480,7 @@ TEST_P(ServerFixture, MetricsVerbEmitsExposition) {
   server_->stop();
 }
 
-TEST_P(ServerFixture, StatsReportSignature) {
+TEST_F(ServerFixture, StatsReportSignature) {
   startUnix();
   Client client(config_.endpoint);
   const Response before = client.stats();
@@ -499,7 +497,7 @@ TEST_P(ServerFixture, StatsReportSignature) {
 // differential suites compare parsed numbers, so only this pins field order,
 // number text and ERR wording. Each request goes out on one connection and
 // its reply is read through its newline, byte for byte.
-TEST_P(ServerFixture, HotVerbRepliesAreBytePinned) {
+TEST_F(ServerFixture, HotVerbRepliesAreBytePinned) {
   startUnix();
   struct Exchange {
     const char* request;
@@ -558,13 +556,6 @@ TEST_P(ServerFixture, HotVerbRepliesAreBytePinned) {
 // A dead daemon leaves its socket file behind; the next start must reclaim
 // it (probe with connect(), unlink on refusal) instead of failing — and
 // must NOT steal the file from a daemon that is still alive.
-INSTANTIATE_TEST_SUITE_P(Engines, ServerFixture,
-                         ::testing::Values(EngineKind::kThreads,
-                                           EngineKind::kEpoll),
-                         [](const auto& param) {
-                           return std::string(engineKindName(param.param));
-                         });
-
 TEST(StaleSocket, DeadSocketFileIsReclaimed) {
   const std::string path = uniqueSocketPath("stale");
   ConcurrentTracker trackerA(testPlatform());

@@ -7,7 +7,7 @@
 // declared replica (primaries and followers alike), forwards SIGTERM/SIGINT
 // to the whole fleet, and exits with the first non-zero child status once
 // every child has been reaped. Anything after `--` is passed through to
-// every daemon verbatim (e.g. `--engine epoll`, `--workers 2`).
+// every daemon verbatim (e.g. `--loop-threads 2`, `--workers 2`).
 //
 // The launcher is deliberately dumb: the topology file is the cluster's one
 // source of truth, so booting a cluster is exactly "run contend_served once

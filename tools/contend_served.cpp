@@ -3,9 +3,9 @@
 // Usage:
 //   contend_served <profile.txt> [--listen <endpoint>] [--workers N]
 //                  [--queue N] [--timeout-ms N] [--deadline-ms N]
-//                  [--engine threads|epoll|auto] [--loop-threads N]
-//                  [--backlog N] [--cache N] [--journal <path>]
-//                  [--snapshot-every N] [--fsync always|interval|off]
+//                  [--loop-threads N] [--backlog N] [--cache N]
+//                  [--journal <path>] [--snapshot-every N]
+//                  [--fsync always|interval|off]
 //                  [--slow-request-us N]
 //                  [--cluster <topology> --shard-id K [--replica R]
 //                   [--repl-max-lag N]]
@@ -14,7 +14,7 @@
 // and serves the Paragon-style slowdown models over a line protocol (see
 // docs/SERVING.md). Endpoints: `unix:/path/to.sock` (default
 // unix:/tmp/contend.sock) or `tcp:[host:]port`. SIGTERM/SIGINT drain
-// gracefully: in-flight and queued connections finish, then the process
+// gracefully: requests already received are answered, then the process
 // exits 0.
 //
 // With --journal, every ARRIVE/DEPART is appended to a write-ahead journal
@@ -55,7 +55,6 @@ void onSignal(int) {
   std::cerr << "usage: contend_served <profile.txt> [--listen <endpoint>]\n"
                "                      [--workers N] [--queue N]\n"
                "                      [--timeout-ms N] [--deadline-ms N]\n"
-               "                      [--engine threads|epoll|auto]\n"
                "                      [--loop-threads N] [--backlog N]\n"
                "                      [--cache N] [--journal <path>]\n"
                "                      [--snapshot-every N]\n"
@@ -64,10 +63,11 @@ void onSignal(int) {
                "endpoints: unix:/path/to.sock | tcp:[host:]port\n"
                "--deadline-ms is the wall-clock budget per request\n"
                "  (guards against slow-loris clients; 0 disables)\n"
-               "--engine picks the serving core: threads (worker pool,\n"
-               "  the default), epoll (event loops), auto (prefers epoll);\n"
-               "  --loop-threads sets the epoll event-loop count and\n"
-               "  --backlog the listen(2) queue length\n"
+               "--workers + --queue is the admission cap: live connections\n"
+               "  past it are answered ERR overloaded and closed\n"
+               "--loop-threads sets the event-loop count (default 1, the\n"
+               "  least CPU per request; more loops help only with many\n"
+               "  clients); --backlog the listen(2) queue length\n"
                "--journal enables the write-ahead journal (crash recovery);\n"
                "  --snapshot-every sets records between compacting snapshots\n"
                "  (0 disables snapshots), --fsync picks the durability mode\n"
@@ -135,14 +135,6 @@ int main(int argc, char** argv) {
       } else if (flag == "--deadline-ms") {
         config.requestDeadlineMs =
             static_cast<int>(parseCount(value, "--deadline-ms", 0));
-      } else if (flag == "--engine") {
-        const auto engine = serve::engineKindFromName(value);
-        if (!engine) {
-          std::cerr << "error: --engine expects threads|epoll|auto, got '"
-                    << value << "'\n";
-          return 2;
-        }
-        config.engine = *engine;
       } else if (flag == "--loop-threads") {
         config.loopThreads =
             static_cast<int>(parseCount(value, "--loop-threads"));
@@ -260,13 +252,8 @@ int main(int argc, char** argv) {
 
     std::cout << "contend_served: profile '" << profile.platformName
               << "', listening on "
-              << serve::endpointToString(server.endpoint()) << ", engine "
-              << serve::engineKindName(server.engineKind());
-    if (server.engineKind() == serve::EngineKind::kEpoll) {
-      std::cout << " (" << config.loopThreads << " loop threads)";
-    } else {
-      std::cout << " (" << config.workers << " workers)";
-    }
+              << serve::endpointToString(server.endpoint())
+              << ", engine epoll (" << config.loopThreads << " loop threads)";
     if (replication) {
       std::cout << ", shard " << shardId << " "
                 << serve::replRoleName(replication->role());
