@@ -6,15 +6,6 @@
 
 namespace contend::serve {
 
-void Metrics::observeQueueDepth(std::size_t depth) {
-  const auto observed = static_cast<std::uint64_t>(depth);
-  std::uint64_t current = queueHighWater_.load(std::memory_order_relaxed);
-  while (observed > current &&
-         !queueHighWater_.compare_exchange_weak(current, observed,
-                                                std::memory_order_relaxed)) {
-  }
-}
-
 void Metrics::observeLatency(Verb verb, std::chrono::nanoseconds elapsed) {
   const auto us = static_cast<std::uint64_t>(std::max<std::int64_t>(
       0, std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
@@ -36,8 +27,6 @@ MetricsSnapshot Metrics::snapshot() const {
   snapshot.deadlinesExpired =
       deadlinesExpired_.load(std::memory_order_relaxed);
   snapshot.droppedBytes = droppedBytes_.load(std::memory_order_relaxed);
-  snapshot.queueDepthHighWater =
-      queueHighWater_.load(std::memory_order_relaxed);
   snapshot.slowRequests = slowRequests_.load(std::memory_order_relaxed);
   snapshot.loopWakeups = loopWakeups_.load(std::memory_order_relaxed);
   snapshot.loopEvents = loopEvents_.load(std::memory_order_relaxed);
@@ -82,7 +71,6 @@ void Metrics::fill(ReplyEncoder& reply) const {
   reply.add("line_overflows", s.lineOverflows);
   reply.add("deadlines_expired", s.deadlinesExpired);
   reply.add("dropped_bytes", s.droppedBytes);
-  reply.add("queue_hwm", s.queueDepthHighWater);
   reply.add("slow_requests", s.slowRequests);
   reply.add("loop_wakeups", s.loopWakeups);
   reply.add("loop_events", s.loopEvents);

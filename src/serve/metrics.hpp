@@ -1,9 +1,9 @@
 // metrics.hpp — lock-free serving counters and per-verb latency histograms,
 // surfaced through the STATS and METRICS verbs.
 //
-// Everything here is written from worker threads on the request hot path, so
-// the write side is atomics only: monotonic counters, a CAS-max high-water
-// mark, and one sharded log-scale histogram per verb (see histogram.hpp —
+// Everything here is written from the event-loop threads on the request hot
+// path, so the write side is atomics only: monotonic counters and one
+// sharded log-scale histogram per verb (see histogram.hpp —
 // exact counts, never a lost increment, relative bucket width ≤ 12.5%).
 // Reads (snapshot) are approximate by design — a snapshot taken while
 // requests are in flight may tear across counters, which is fine for
@@ -30,10 +30,8 @@ struct MetricsSnapshot {
   std::uint64_t lineOverflows = 0;
   std::uint64_t deadlinesExpired = 0;
   std::uint64_t droppedBytes = 0;
-  std::uint64_t queueDepthHighWater = 0;
   std::uint64_t slowRequests = 0;
-  // Event-loop instrumentation (epoll engine; all zero under the threads
-  // engine, but always exported so dashboards have a stable schema).
+  // Event-loop instrumentation.
   std::uint64_t loopWakeups = 0;
   std::uint64_t loopEvents = 0;
   std::uint64_t loopEagainReads = 0;
@@ -83,7 +81,7 @@ class Metrics {
   void countSlowRequest() {
     slowRequests_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// One epoll_wait return (epoll engine), timeouts included.
+  /// One epoll_wait return, timeouts included.
   void countLoopWakeup() {
     loopWakeups_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -102,9 +100,6 @@ class Metrics {
   void countEagainWrite() {
     loopEagainWrites_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  /// Records the observed queue depth; keeps the maximum ever seen.
-  void observeQueueDepth(std::size_t depth);
 
   /// Records one request's service latency into the verb's histogram
   /// (truncated to whole microseconds).
@@ -132,7 +127,6 @@ class Metrics {
   std::atomic<std::uint64_t> lineOverflows_{0};
   std::atomic<std::uint64_t> deadlinesExpired_{0};
   std::atomic<std::uint64_t> droppedBytes_{0};
-  std::atomic<std::uint64_t> queueHighWater_{0};
   std::atomic<std::uint64_t> slowRequests_{0};
   std::atomic<std::uint64_t> loopWakeups_{0};
   std::atomic<std::uint64_t> loopEvents_{0};

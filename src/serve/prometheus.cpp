@@ -160,7 +160,7 @@ std::string renderPrometheusText(const PrometheusInput& input) {
   counter(out, "contend_connections_accepted_total",
           "Connections accepted by the listener.", m.connectionsAccepted);
   counter(out, "contend_connections_rejected_total",
-          "Connections refused because the queue was full.",
+          "Connections refused over the admission cap.",
           m.connectionsRejected);
   counter(out, "contend_accept_errors_total",
           "accept(2) failures (fd exhaustion and friends).", m.acceptErrors);
@@ -176,17 +176,13 @@ std::string renderPrometheusText(const PrometheusInput& input) {
   counter(out, "contend_slow_requests_total",
           "Requests slower than the --slow-request-us threshold.",
           m.slowRequests);
-  gauge(out, "contend_queue_depth_high_water",
-        "Maximum connection-queue depth ever observed.",
-        std::to_string(m.queueDepthHighWater));
 
-  // Event-loop gauges (epoll engine). Always emitted — zero under the
-  // threads engine — so scrapers see one stable schema per daemon.
+  // Event-loop counters.
   counter(out, "contend_loop_wakeups_total",
-          "epoll_wait returns across all event loops (epoll engine).",
+          "epoll_wait returns across all event loops.",
           m.loopWakeups);
   counter(out, "contend_loop_events_total",
-          "Ready events delivered to the event loops (epoll engine).",
+          "Ready events delivered to the event loops.",
           m.loopEvents);
   counter(out, "contend_loop_eagain_reads_total",
           "Reads that drained a socket to EAGAIN (edge-triggered recv).",
@@ -195,7 +191,7 @@ std::string renderPrometheusText(const PrometheusInput& input) {
           "Writes that hit EAGAIN and armed EPOLLOUT backpressure.",
           m.loopEagainWrites);
   family(out, "contend_loop_ready_batch", "histogram",
-         "Ready-event batch size per epoll_wait wakeup (epoll engine).");
+         "Ready-event batch size per epoll_wait wakeup.");
   histogramSeriesNoLabels(out, "contend_loop_ready_batch", m.loopReadyBatch);
 
   gauge(out, "contend_epoch", "Mutations applied to the mix so far.",

@@ -227,10 +227,11 @@ TEST(MetricsSuite, FillKeepsStatsKeysAndAddsNewOnes) {
   const Response response = parseResponse(line);
   // Back-compat keys from the ring era survive...
   for (const char* key : {"requests", "errors", "accepted", "rejected",
-                          "queue_hwm", "lat_samples", "p50_us", "p99_us",
-                          "max_us"}) {
+                          "lat_samples", "p50_us", "p99_us", "max_us"}) {
     EXPECT_NE(response.find(key), nullptr) << key;
   }
+  // The connection-queue high-water mark is retired: no queue feeds it.
+  EXPECT_EQ(response.find("queue_hwm"), nullptr);
   // ...and the histogram rewrite adds these.
   EXPECT_EQ(response.number("slow_requests"), 1.0);
   EXPECT_NE(response.find("p90_us"), nullptr);
@@ -260,7 +261,6 @@ PrometheusInput goldenInput() {
   m.lineOverflows = 4;
   m.deadlinesExpired = 5;
   m.droppedBytes = 321;
-  m.queueDepthHighWater = 6;
   m.slowRequests = 7;
   m.loopWakeups = 40;
   m.loopEvents = 55;
