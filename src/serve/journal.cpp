@@ -279,17 +279,18 @@ bool writeAll(int fd, std::string_view data) {
   return true;
 }
 
-/// Best-effort fsync of the directory containing `path`, so a rename into
-/// it is durable.
-void fsyncParentDir(const std::string& path) {
+/// Fsyncs the directory containing `path`, so a rename into it is durable.
+/// False when the directory cannot be opened or synced.
+bool fsyncParentDir(const std::string& path) {
   const auto slash = path.rfind('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
                               : path.substr(0, slash == 0 ? 1 : slash);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  (void)::fsync(fd);
+  if (fd < 0) return false;
+  const bool synced = hookedFsync(fd) == 0;
   ::close(fd);
+  return synced;
 }
 
 }  // namespace
@@ -675,7 +676,13 @@ void Journal::writeSnapshot(const SnapshotImage& image) {
     (void)::unlink(tmpPath.c_str());
     return;
   }
-  fsyncParentDir(finalPath);
+  // Until the rename is durable, a power loss can undo it while a
+  // truncate survives; keep the journal records until a later snapshot
+  // lands.
+  if (!fsyncParentDir(finalPath)) {
+    appendErrors_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   snapshots_.fetch_add(1, std::memory_order_relaxed);
 
   // Compact: every record at or below image.epoch is now redundant. A

@@ -179,9 +179,11 @@ class Journal {
   /// True once the compaction lag reached snapshotEvery.
   [[nodiscard]] bool snapshotDue() const;
 
-  /// Writes `image` to the snapshot sidecar (tmp + fsync + rename) and
-  /// compacts the journal back to its header. Failures are counted, not
-  /// thrown (the journal keeps appending; recovery simply replays more).
+  /// Writes `image` to the snapshot sidecar (tmp + fsync + rename + fsync
+  /// of the directory) and compacts the journal back to its header.
+  /// Failures are counted, not thrown (the journal keeps appending;
+  /// recovery simply replays more). Any failure, the directory fsync
+  /// included, skips the compaction.
   void writeSnapshot(const SnapshotImage& image);
 
   [[nodiscard]] JournalStats stats() const;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -701,6 +702,57 @@ TEST(JournalFaultInjection, AppendFailureLatchesWithoutCrashing) {
   EXPECT_EQ(records.size(), 1u);
   EXPECT_EQ(clean + journalMagic().size(), bytes.size());
   ::unlink(path.c_str());
+}
+
+TEST(JournalFaultInjection, FailedDirectoryFsyncSkipsCompaction) {
+  const std::string path = uniqueJournalPath("dirsync");
+  JournalConfig config;
+  config.path = path;
+  config.snapshotEvery = 4;
+  config.fsync = FsyncPolicy::kOff;
+  Journal journal(config);
+  ConcurrentTracker tracker(testPlatform());
+  tracker.recoverFromJournal(journal);
+  for (int i = 0; i < 3; ++i) tracker.arrive({0.2, 100 + i});
+  ASSERT_EQ(journal.stats().appendErrors, 0u);
+
+  // Fail only the fsync of a directory: the snapshot file itself syncs,
+  // but its rename into the directory is never made durable.
+  SyscallHooks hooks;
+  hooks.fsync = [](int fd) -> int {
+    struct stat info{};
+    if (::fstat(fd, &info) == 0 && S_ISDIR(info.st_mode)) {
+      errno = EIO;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+  {
+    HookGuard guard(&hooks);
+    tracker.arrive({0.3, 400});  // crosses snapshotEvery
+  }
+  // Counted as an error, and the journal keeps every record: after a power
+  // loss the rename may be gone, so the records are the only copy.
+  EXPECT_EQ(journal.stats().appendErrors, 1u);
+  EXPECT_EQ(journal.stats().snapshots, 0u);
+  EXPECT_EQ(journal.stats().lagRecords, 4u);
+  EXPECT_GT(readFile(path).size(), journalMagic().size());
+  const Journal::LoadedState state = Journal(config).load();
+  EXPECT_EQ(state.tail.size(), 4u);
+
+  Journal fresh(config);
+  ConcurrentTracker recovered(testPlatform());
+  const RecoveryReport report = recovered.recoverFromJournal(fresh);
+  EXPECT_TRUE(report.recovered);
+  EXPECT_EQ(report.epoch, 4u);
+  const SlowdownSnapshot live = tracker.slowdowns();
+  const SlowdownSnapshot back = recovered.slowdowns();
+  EXPECT_EQ(back.active, live.active);
+  EXPECT_EQ(back.signature, live.signature);
+  EXPECT_EQ(bits(back.comp), bits(live.comp));
+  EXPECT_EQ(bits(back.comm), bits(live.comm));
+  ::unlink(path.c_str());
+  ::unlink((path + ".snapshot").c_str());
 }
 
 TEST(JournalFaultInjection, ShortWritesStillFrameCleanly) {
