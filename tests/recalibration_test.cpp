@@ -22,6 +22,7 @@
 #include "serve/metrics.hpp"
 #include "serve/recalibration.hpp"
 #include "serve/server.hpp"
+#include "serve_loop_layout.hpp"
 #include "serve/syscall_hooks.hpp"
 
 namespace contend::serve {
@@ -366,12 +367,14 @@ TEST(RecalibrationConcurrency, ApplyIsAtomicAgainstConcurrentPredicts) {
 
 // --- CALIBRATE / DRIFT over the wire ----------------------------------------
 
-class RecalibrationServerFixture : public ::testing::Test {
+class RecalibrationServerFixture
+    : public ::testing::TestWithParam<LoopLayout> {
  protected:
   void start() {
     config_.endpoint = parseEndpoint("unix:" + uniqueSocketPath("fixture"));
     config_.workers = 4;
     config_.requestTimeoutMs = 2000;
+    config_.loopThreads = loopThreadsFor(GetParam());
     server_ = std::make_unique<Server>(config_, tracker_, metrics_);
     server_->start();
   }
@@ -382,7 +385,7 @@ class RecalibrationServerFixture : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
-TEST_F(RecalibrationServerFixture, CalibrateAndDriftVerbsEndToEnd) {
+TEST_P(RecalibrationServerFixture, CalibrateAndDriftVerbsEndToEnd) {
   start();
   Client client(config_.endpoint);
   ASSERT_TRUE(client.arrive(0.3, 800).ok);
@@ -497,6 +500,8 @@ TEST_F(RecalibrationServerFixture, CalibrateAndDriftVerbsEndToEnd) {
 
   server_->stop();
 }
+
+CONTEND_INSTANTIATE_LOOP_LAYOUTS(RecalibrationServerFixture);
 
 // --- HEALTH degradation on journal append failures ------------------------
 

@@ -24,6 +24,7 @@
 #include "serve/metrics.hpp"
 #include "serve/net_util.hpp"
 #include "serve/server.hpp"
+#include "serve_loop_layout.hpp"
 
 namespace contend::serve {
 namespace {
@@ -168,7 +169,7 @@ bool waitFor(Predicate done) {
   return true;
 }
 
-class ServerAbuseTest : public ::testing::Test {
+class ServerAbuseTest : public ::testing::TestWithParam<LoopLayout> {
  protected:
   void start(int workers = 2, int timeoutMs = 2000, int deadlineMs = 0,
              std::size_t queueCapacity = 128, bool tcp = false) {
@@ -178,6 +179,7 @@ class ServerAbuseTest : public ::testing::Test {
     config_.queueCapacity = queueCapacity;
     config_.requestTimeoutMs = timeoutMs;
     config_.requestDeadlineMs = deadlineMs;
+    config_.loopThreads = loopThreadsFor(GetParam());
     server_ = std::make_unique<Server>(config_, tracker_, metrics_);
     server_->start();
   }
@@ -267,13 +269,13 @@ TEST(FdLineReaderGuard, UnterminatedLineIsCappedAndBufferStaysBounded) {
 
 // --- Server-level abuse ----------------------------------------------------
 
-TEST_F(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnected) {
+TEST_P(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnected) {
   start();
   expectOversizedLineRefused();
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnectedTcp) {
+TEST_P(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnectedTcp) {
   // Over TCP a close with unread input sends a reset, which can also throw
   // away the ERR before the client reads it.
   start(/*workers=*/2, /*timeoutMs=*/2000, /*deadlineMs=*/0,
@@ -282,7 +284,7 @@ TEST_F(ServerAbuseTest, OversizedLineAnsweredWithErrAndDisconnectedTcp) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, UnterminatedTailIsRefusedAtTheLineCap) {
+TEST_P(ServerAbuseTest, UnterminatedTailIsRefusedAtTheLineCap) {
   start();
   RawConn conn(path());
   // One byte short of the cap with no newline: still a request in progress.
@@ -304,7 +306,7 @@ TEST_F(ServerAbuseTest, UnterminatedTailIsRefusedAtTheLineCap) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, LineReachingTheCapIsRefusedWhenItsNewlineArrives) {
+TEST_P(ServerAbuseTest, LineReachingTheCapIsRefusedWhenItsNewlineArrives) {
   start();
   RawConn conn(path());
   ASSERT_TRUE(conn.trySend(std::string(kMaxRequestLineBytes - 1, 'A')));
@@ -319,7 +321,7 @@ TEST_F(ServerAbuseTest, LineReachingTheCapIsRefusedWhenItsNewlineArrives) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, BlockPastItsLineCapIsRefused) {
+TEST_P(ServerAbuseTest, BlockPastItsLineCapIsRefused) {
   start();
   RawConn conn(path());
   // A PREDICT body may hold kMaxPredictBlockLines lines, terminator
@@ -338,7 +340,7 @@ TEST_F(ServerAbuseTest, BlockPastItsLineCapIsRefused) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, SlowLorisIsDisconnectedWithinTwiceTheDeadline) {
+TEST_P(ServerAbuseTest, SlowLorisIsDisconnectedWithinTwiceTheDeadline) {
   constexpr int kDeadlineMs = 500;
   start(/*workers=*/2, /*timeoutMs=*/300, kDeadlineMs);
   RawConn loris(path());
@@ -365,7 +367,7 @@ TEST_F(ServerAbuseTest, SlowLorisIsDisconnectedWithinTwiceTheDeadline) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, SlowLorisInsideAPredictBlockAlsoDies) {
+TEST_P(ServerAbuseTest, SlowLorisInsideAPredictBlockAlsoDies) {
   start(/*workers=*/2, /*timeoutMs=*/300, /*deadlineMs=*/500);
   RawConn loris(path());
   // A complete verb line, then the block body dripped one byte at a time:
@@ -382,7 +384,7 @@ TEST_F(ServerAbuseTest, SlowLorisInsideAPredictBlockAlsoDies) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, HalfClosedSocketGetsItsAnswerThenCloses) {
+TEST_P(ServerAbuseTest, HalfClosedSocketGetsItsAnswerThenCloses) {
   start();
   RawConn client(path());
   ASSERT_TRUE(client.trySend("SLOWDOWN\n"));
@@ -403,7 +405,7 @@ TEST_F(ServerAbuseTest, HalfClosedSocketGetsItsAnswerThenCloses) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, GarbageBytesAreAnsweredWithCodedErrNotACrash) {
+TEST_P(ServerAbuseTest, GarbageBytesAreAnsweredWithCodedErrNotACrash) {
   start();
   Client client(config_.endpoint);
   const Response binary = client.raw(std::string("\x01\x02\x7f garbage\n"));
@@ -423,7 +425,7 @@ TEST_F(ServerAbuseTest, GarbageBytesAreAnsweredWithCodedErrNotACrash) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, UnterminatedBlockErrNamesTheVerbIntact) {
+TEST_P(ServerAbuseTest, UnterminatedBlockErrNamesTheVerbIntact) {
   start();
   RawConn conn(path());
   // Half-close after a partial block: the server sees EOF mid-block and
@@ -443,7 +445,7 @@ TEST_F(ServerAbuseTest, UnterminatedBlockErrNamesTheVerbIntact) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, PipelinedGarbageBetweenValidRequestsStaysInSync) {
+TEST_P(ServerAbuseTest, PipelinedGarbageBetweenValidRequestsStaysInSync) {
   start();
   Client client(config_.endpoint);
   const Response first =
@@ -459,7 +461,7 @@ TEST_F(ServerAbuseTest, PipelinedGarbageBetweenValidRequestsStaysInSync) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, QueueOverflowReceivesTheFullErrLineBeforeClose) {
+TEST_P(ServerAbuseTest, QueueOverflowReceivesTheFullErrLineBeforeClose) {
   start(/*workers=*/1, /*timeoutMs=*/3000, /*deadlineMs=*/0,
         /*queueCapacity=*/1);
   // Fill the admission cap (workers + queue = 2) with idle connections.
@@ -480,7 +482,7 @@ TEST_F(ServerAbuseTest, QueueOverflowReceivesTheFullErrLineBeforeClose) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, SilentConnectionIsClosedAfterTheIdleTimeout) {
+TEST_P(ServerAbuseTest, SilentConnectionIsClosedAfterTheIdleTimeout) {
   start(/*workers=*/2, /*timeoutMs=*/200);
   RawConn conn(path());
   ASSERT_TRUE(conn.trySend("SLOWDOWN\n"));
@@ -498,7 +500,7 @@ TEST_F(ServerAbuseTest, SilentConnectionIsClosedAfterTheIdleTimeout) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, IdleOpenBlockIsRefusedAsUnterminated) {
+TEST_P(ServerAbuseTest, IdleOpenBlockIsRefusedAsUnterminated) {
   start(/*workers=*/2, /*timeoutMs=*/200, /*deadlineMs=*/0);
   RawConn conn(path());
   // A block the peer stops sending mid-way: a silent close would leave it
@@ -519,7 +521,7 @@ TEST_F(ServerAbuseTest, IdleOpenBlockIsRefusedAsUnterminated) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, RefusalQueuedBehindUnsentRepliesArrivesLast) {
+TEST_P(ServerAbuseTest, RefusalQueuedBehindUnsentRepliesArrivesLast) {
   config_.sendBufBytes = 4096;
   start(/*workers=*/2, /*timeoutMs=*/5000);
   // 600 replies the peer does not read yet, then a tail past the line
@@ -544,7 +546,7 @@ TEST_F(ServerAbuseTest, RefusalQueuedBehindUnsentRepliesArrivesLast) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, PeerThatVanishesMidReplyIsClosedAndCounted) {
+TEST_P(ServerAbuseTest, PeerThatVanishesMidReplyIsClosedAndCounted) {
   config_.sendBufBytes = 4096;
   start(/*workers=*/1, /*timeoutMs=*/5000, /*deadlineMs=*/0,
         /*queueCapacity=*/1);
@@ -571,7 +573,7 @@ TEST_F(ServerAbuseTest, PeerThatVanishesMidReplyIsClosedAndCounted) {
   server_->stop();
 }
 
-TEST_F(ServerAbuseTest, StatsExposeTheNewAbuseCounters) {
+TEST_P(ServerAbuseTest, StatsExposeTheNewAbuseCounters) {
   start();
   Client client(config_.endpoint);
   const Response stats = client.stats();
@@ -583,6 +585,8 @@ TEST_F(ServerAbuseTest, StatsExposeTheNewAbuseCounters) {
   }
   server_->stop();
 }
+
+CONTEND_INSTANTIATE_LOOP_LAYOUTS(ServerAbuseTest);
 
 }  // namespace
 }  // namespace contend::serve

@@ -38,6 +38,7 @@
 #include "serve/metrics.hpp"
 #include "serve/server.hpp"
 #include "tools/workload_file.hpp"
+#include "serve_loop_layout.hpp"
 
 namespace contend::serve {
 namespace {
@@ -271,8 +272,12 @@ tools::TaskSpec makeTask(std::mt19937& rng) {
 }
 
 /// A 700-op seeded schedule over the wire must produce responses
-/// bit-identical to the offline oracle.
-TEST(ServeDifferential, RandomScheduleMatchesOfflineOracleBitExactly) {
+/// bit-identical to the offline oracle under both loop layouts.
+class ServeDifferential : public ::testing::TestWithParam<LoopLayout> {};
+
+CONTEND_INSTANTIATE_LOOP_LAYOUTS(ServeDifferential);
+
+TEST_P(ServeDifferential, RandomScheduleMatchesOfflineOracleBitExactly) {
   constexpr int kMaxContenders = 12;
   constexpr int kMaxActive = 10;
   constexpr int kOps = 700;  // acceptance floor is 500
@@ -282,6 +287,7 @@ TEST(ServeDifferential, RandomScheduleMatchesOfflineOracleBitExactly) {
   config.endpoint = parseEndpoint("unix:" + uniqueSocketPath());
   config.workers = 4;
   config.requestTimeoutMs = 5000;
+  config.loopThreads = loopThreadsFor(GetParam());
   ConcurrentTracker tracker(platform);
   Metrics metrics;
   Server server(config, tracker, metrics);

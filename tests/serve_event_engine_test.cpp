@@ -31,6 +31,7 @@
 #include "serve/metrics.hpp"
 #include "serve/net_util.hpp"
 #include "serve/server.hpp"
+#include "serve_loop_layout.hpp"
 
 namespace contend::serve {
 namespace {
@@ -62,12 +63,13 @@ std::string uniqueSocketPath(const char* tag) {
          "_" + std::to_string(counter++) + ".sock";
 }
 
-class EventEngineTest : public ::testing::Test {
+class EventEngineTest : public ::testing::TestWithParam<LoopLayout> {
  protected:
   void startTcp() {
     config_.endpoint = parseEndpoint("tcp:127.0.0.1:0");  // ephemeral port
     config_.workers = 2;
     config_.requestTimeoutMs = 2000;
+    config_.loopThreads = loopThreadsFor(GetParam());
     server_ = std::make_unique<Server>(config_, tracker_, metrics_);
     server_->start();
     ASSERT_GT(server_->boundPort(), 0);
@@ -79,7 +81,7 @@ class EventEngineTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
-TEST_F(EventEngineTest, SingleTcpRequestRoundTripsUnderATightDeadline) {
+TEST_P(EventEngineTest, SingleTcpRequestRoundTripsUnderATightDeadline) {
   startTcp();
   // A 250 ms client receive deadline: generous for loopback, but far below
   // the ~40 ms-per-direction stalls Nagle-vs-delayed-ACK introduces when
@@ -93,6 +95,8 @@ TEST_F(EventEngineTest, SingleTcpRequestRoundTripsUnderATightDeadline) {
   EXPECT_LE(elapsed, 250ms) << "one-request TCP round-trip stalled";
   server_->stop();
 }
+
+CONTEND_INSTANTIATE_LOOP_LAYOUTS(EventEngineTest);
 
 TEST(EventEngineEagain, PartialWriteResumesViaEpollout) {
   ServerConfig config;

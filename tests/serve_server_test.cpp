@@ -21,6 +21,7 @@
 #include "serve/net_util.hpp"
 #include "serve/prometheus.hpp"
 #include "serve/server.hpp"
+#include "serve_loop_layout.hpp"
 
 namespace contend::serve {
 namespace {
@@ -123,14 +124,15 @@ TEST(Endpoint, MalformedSpecTable) {
                std::invalid_argument);
 }
 
-// End-to-end cases over a real socket: the protocol, error surfacing, and
-// shutdown behavior.
-class ServerFixture : public ::testing::Test {
+// End-to-end cases over a real socket, under both loop layouts: the
+// protocol, error surfacing, and shutdown behavior.
+class ServerFixture : public ::testing::TestWithParam<LoopLayout> {
  protected:
   void startUnix() {
     config_.endpoint = parseEndpoint("unix:" + uniqueSocketPath("fixture"));
     config_.workers = 4;
     config_.requestTimeoutMs = 2000;
+    config_.loopThreads = loopThreadsFor(GetParam());
     server_ = std::make_unique<Server>(config_, tracker_, metrics_);
     server_->start();
   }
@@ -141,7 +143,7 @@ class ServerFixture : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
-TEST_F(ServerFixture, FullVerbSetOverUnixSocket) {
+TEST_P(ServerFixture, FullVerbSetOverUnixSocket) {
   startUnix();
   Client client(config_.endpoint);
 
@@ -190,7 +192,7 @@ TEST_F(ServerFixture, FullVerbSetOverUnixSocket) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, ErrorsAreReportedNotFatal) {
+TEST_P(ServerFixture, ErrorsAreReportedNotFatal) {
   startUnix();
   Client client(config_.endpoint);
 
@@ -217,9 +219,10 @@ TEST_F(ServerFixture, ErrorsAreReportedNotFatal) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, ServesOverTcp) {
+TEST_P(ServerFixture, ServesOverTcp) {
   config_.endpoint = parseEndpoint("tcp:127.0.0.1:0");  // ephemeral port
   config_.workers = 2;
+  config_.loopThreads = loopThreadsFor(GetParam());
   server_ = std::make_unique<Server>(config_, tracker_, metrics_);
   server_->start();
   ASSERT_GT(server_->boundPort(), 0);
@@ -231,7 +234,7 @@ TEST_F(ServerFixture, ServesOverTcp) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, ManyConcurrentClients) {
+TEST_P(ServerFixture, ManyConcurrentClients) {
   startUnix();
   constexpr int kClients = 8;
   constexpr int kRequests = 50;
@@ -260,7 +263,7 @@ TEST_F(ServerFixture, ManyConcurrentClients) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, GracefulShutdownStopsAccepting) {
+TEST_P(ServerFixture, GracefulShutdownStopsAccepting) {
   startUnix();
   {
     Client client(config_.endpoint);
@@ -277,7 +280,7 @@ TEST_F(ServerFixture, GracefulShutdownStopsAccepting) {
       std::runtime_error);
 }
 
-TEST_F(ServerFixture, PredictBatchOverTheWire) {
+TEST_P(ServerFixture, PredictBatchOverTheWire) {
   startUnix();
   Client client(config_.endpoint);
   ASSERT_TRUE(client.arrive(0.3, 800).ok);
@@ -335,7 +338,7 @@ TEST_F(ServerFixture, PredictBatchOverTheWire) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
+TEST_P(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
   startUnix();
   Client client(config_.endpoint);
   // One write carrying four requests, with a comment line, a blank line and
@@ -371,7 +374,7 @@ TEST_F(ServerFixture, PipelinedRequestsGetCoalescedResponses) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, CrlfRequestsGetTheirLfReplies) {
+TEST_P(ServerFixture, CrlfRequestsGetTheirLfReplies) {
   startUnix();
   Client client(config_.endpoint);
   const auto crlf = [](const std::string& text) {
@@ -416,7 +419,7 @@ TEST_F(ServerFixture, CrlfRequestsGetTheirLfReplies) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, PredictBlockArrivesOverTheWire) {
+TEST_P(ServerFixture, PredictBlockArrivesOverTheWire) {
   startUnix();
   Client client(config_.endpoint);
   const Response response = client.raw(
@@ -431,7 +434,7 @@ TEST_F(ServerFixture, PredictBlockArrivesOverTheWire) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, HealthVerbOverTheWire) {
+TEST_P(ServerFixture, HealthVerbOverTheWire) {
   startUnix();
   Client client(config_.endpoint);
   // No journal configured: HEALTH still answers, with the journal off.
@@ -450,7 +453,7 @@ TEST_F(ServerFixture, HealthVerbOverTheWire) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, MetricsVerbEmitsExposition) {
+TEST_P(ServerFixture, MetricsVerbEmitsExposition) {
   startUnix();
   Client client(config_.endpoint);
   ASSERT_TRUE(client.arrive(0.3, 800).ok);
@@ -480,7 +483,7 @@ TEST_F(ServerFixture, MetricsVerbEmitsExposition) {
   server_->stop();
 }
 
-TEST_F(ServerFixture, StatsReportSignature) {
+TEST_P(ServerFixture, StatsReportSignature) {
   startUnix();
   Client client(config_.endpoint);
   const Response before = client.stats();
@@ -497,7 +500,7 @@ TEST_F(ServerFixture, StatsReportSignature) {
 // differential suites compare parsed numbers, so only this pins field order,
 // number text and ERR wording. Each request goes out on one connection and
 // its reply is read through its newline, byte for byte.
-TEST_F(ServerFixture, HotVerbRepliesAreBytePinned) {
+TEST_P(ServerFixture, HotVerbRepliesAreBytePinned) {
   startUnix();
   struct Exchange {
     const char* request;
@@ -552,6 +555,8 @@ TEST_F(ServerFixture, HotVerbRepliesAreBytePinned) {
   ::close(fd);
   server_->stop();
 }
+
+CONTEND_INSTANTIATE_LOOP_LAYOUTS(ServerFixture);
 
 // A dead daemon leaves its socket file behind; the next start must reclaim
 // it (probe with connect(), unlink on refusal) instead of failing — and
