@@ -49,16 +49,27 @@ TEST_P(MixProperty, DistributionInvariants) {
   EXPECT_NEAR(mean, fractionSum, 1e-9);
 }
 
+// Long churn through the removal fast path and its fallback: the depth
+// climbs to about 100 and wanders there for 20k steps, with I/O-bearing
+// apps among the mix. After every step all three distributions must stay
+// within 1e-8 of a mix built fresh from the surviving apps.
 TEST_P(MixProperty, ChurnPreservesDistribution) {
   SplitMix64 rng(GetParam() ^ 0xABCDEF);
+  constexpr std::size_t kDepth = 100;
   std::vector<model::CompetingApp> apps;
   model::WorkloadMix mix;
-  for (int round = 0; round < 40; ++round) {
-    const bool canRemove = !apps.empty();
-    if (!canRemove || rng.nextDouble() < 0.6) {
+  for (int round = 0; round < 20000; ++round) {
+    const double addOdds = apps.size() < kDepth ? 0.6 : 0.4;
+    if (apps.empty() || rng.nextDouble() < addOdds) {
       const double f = rng.nextDouble();
-      const model::CompetingApp app{
+      model::CompetingApp app{
           f, f > 0.0 ? 1 + static_cast<Words>(rng.nextBelow(1500)) : 0};
+      if (rng.nextDouble() < 0.4) {
+        app.ioFraction = (1.0 - f) * rng.nextDouble();
+        app.ioOps = app.ioFraction > 0.0
+                        ? 1 + static_cast<std::int64_t>(rng.nextBelow(200))
+                        : 0;
+      }
       apps.push_back(app);
       mix.add(app);
     } else {
@@ -73,8 +84,10 @@ TEST_P(MixProperty, ChurnPreservesDistribution) {
     for (int i = 0; i <= mix.p(); ++i) {
       ASSERT_NEAR(mix.pcomm(i), fresh.pcomm(i), 1e-8) << "round " << round;
       ASSERT_NEAR(mix.pcomp(i), fresh.pcomp(i), 1e-8) << "round " << round;
+      ASSERT_NEAR(mix.pio(i), fresh.pio(i), 1e-8) << "round " << round;
     }
   }
+  EXPECT_GE(mix.p(), 80);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MixProperty,
