@@ -4,7 +4,9 @@
 // calculation is negligible" relative to scheduling decisions.
 //
 // google-benchmark microbenchmarks over p confirm the asymptotics and the
-// absolute cost (nanoseconds to microseconds — negligible indeed).
+// absolute cost (nanoseconds to microseconds — negligible indeed). Removal
+// is split by the path it takes: the O(p) deconvolution or the O(p²)
+// rebuild it falls back to.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -25,6 +27,23 @@ CompetingApp appFor(int index) {
   return CompetingApp{fraction, words};
 }
 
+/// Like the serving benchmark's apps: two in five also do disk I/O.
+CompetingApp ioAppFor(int index) {
+  CompetingApp app = appFor(index);
+  app.commFraction *= 0.6;
+  if (index % 5 < 2) {
+    app.ioFraction = 0.05 + 0.25 * ((index * 53) % 100) / 100.0;
+    app.ioOps = 10 + index % 190;
+  }
+  return app;
+}
+
+WorkloadMix mixOf(int p, CompetingApp (*app)(int)) {
+  WorkloadMix mix;
+  for (int i = 0; i < p; ++i) mix.add(app(i));
+  return mix;
+}
+
 DelayTables tablesFor(int p) {
   DelayTables tables;
   tables.jBins = {1, 500, 1000};
@@ -40,20 +59,31 @@ DelayTables tablesFor(int p) {
 
 void BM_MixRebuild(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
-  WorkloadMix mix;
-  for (int i = 0; i < p; ++i) mix.add(appFor(i));
+  WorkloadMix mix = mixOf(p, appFor);
   for (auto _ : state) {
     mix.rebuild();  // O(p^2) dynamic programming
     benchmark::DoNotOptimize(mix.pcomm(p / 2));
   }
   state.SetComplexityN(p);
 }
-BENCHMARK(BM_MixRebuild)->RangeMultiplier(2)->Range(2, 64)->Complexity();
+BENCHMARK(BM_MixRebuild)->RangeMultiplier(2)->Range(2, 256)->Complexity();
+
+// The same rebuild with I/O-bearing apps: the I/O polynomial has degree
+// 2p/5 instead of 0, the comm and compute ones stay p.
+void BM_MixRebuildIo(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  WorkloadMix mix = mixOf(p, ioAppFor);
+  for (auto _ : state) {
+    mix.rebuild();
+    benchmark::DoNotOptimize(mix.pio(p / 5));
+  }
+  state.SetComplexityN(p);
+}
+BENCHMARK(BM_MixRebuildIo)->RangeMultiplier(2)->Range(2, 256)->Complexity();
 
 void BM_MixIncrementalAdd(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
-  WorkloadMix base;
-  for (int i = 0; i < p; ++i) base.add(appFor(i));
+  WorkloadMix base = mixOf(p, appFor);
   for (auto _ : state) {
     WorkloadMix mix = base;  // copy dominates less as p grows
     mix.add(appFor(p));      // O(p)
@@ -61,44 +91,59 @@ void BM_MixIncrementalAdd(benchmark::State& state) {
   }
   state.SetComplexityN(p);
 }
-BENCHMARK(BM_MixIncrementalAdd)->RangeMultiplier(2)->Range(2, 64)->Complexity();
+BENCHMARK(BM_MixIncrementalAdd)->RangeMultiplier(2)->Range(2, 256)->Complexity();
 
-void BM_MixRemove(benchmark::State& state) {
+// Removal, by which check decides it. Each iteration removes the app last
+// added to a depth-p mix and adds it back, so the mix returns to depth p;
+// BM_MixIncrementalAdd bounds the add's share.
+void removeAndReadd(benchmark::State& state, const CompetingApp& extra) {
   const int p = static_cast<int>(state.range(0));
-  WorkloadMix base;
-  for (int i = 0; i < p; ++i) base.add(appFor(i));
+  WorkloadMix mix = mixOf(p, appFor);
+  mix.add(extra);
   for (auto _ : state) {
-    WorkloadMix mix = base;
-    mix.removeAt(static_cast<std::size_t>(p / 2));
+    mix.removeAt(static_cast<std::size_t>(p));
+    mix.add(extra);
     benchmark::DoNotOptimize(mix.pcomm(0));
   }
   state.SetComplexityN(p);
 }
-BENCHMARK(BM_MixRemove)->RangeMultiplier(2)->Range(2, 64)->Complexity();
+
+// f = 0.5 passes every pivot and range check: the O(p) in-place division.
+void BM_MixRemoveFast(benchmark::State& state) {
+  removeAndReadd(state, CompetingApp{0.5, 500});
+}
+BENCHMARK(BM_MixRemoveFast)->RangeMultiplier(2)->Range(2, 256)->Complexity();
+
+// f = 0 makes the compute factor's pivot f + g zero: the O(p²) rebuild.
+void BM_MixRemoveFallback(benchmark::State& state) {
+  removeAndReadd(state, CompetingApp{0.0, 0});
+}
+BENCHMARK(BM_MixRemoveFallback)
+    ->RangeMultiplier(2)
+    ->Range(2, 256)
+    ->Complexity();
 
 void BM_CommSlowdown(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
-  WorkloadMix mix;
-  for (int i = 0; i < p; ++i) mix.add(appFor(i));
+  const WorkloadMix mix = mixOf(p, appFor);
   const DelayTables tables = tablesFor(p);
   for (auto _ : state) {
     benchmark::DoNotOptimize(paragonCommSlowdown(mix, tables));
   }
   state.SetComplexityN(p);
 }
-BENCHMARK(BM_CommSlowdown)->RangeMultiplier(2)->Range(2, 64)->Complexity();
+BENCHMARK(BM_CommSlowdown)->RangeMultiplier(2)->Range(2, 256)->Complexity();
 
 void BM_CompSlowdown(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
-  WorkloadMix mix;
-  for (int i = 0; i < p; ++i) mix.add(appFor(i));
+  const WorkloadMix mix = mixOf(p, appFor);
   const DelayTables tables = tablesFor(p);
   for (auto _ : state) {
     benchmark::DoNotOptimize(paragonCompSlowdown(mix, tables));
   }
   state.SetComplexityN(p);
 }
-BENCHMARK(BM_CompSlowdown)->RangeMultiplier(2)->Range(2, 64)->Complexity();
+BENCHMARK(BM_CompSlowdown)->RangeMultiplier(2)->Range(2, 256)->Complexity();
 
 }  // namespace
 
